@@ -60,8 +60,8 @@ import (
 // Config mirrors the paper's deployment knobs. The zero value gives a
 // small single-proxy cluster with RS(10+2), 1-minute warm-ups and
 // 5-minute backups at real-time pacing. Construction goes through
-// functional options (New(WithShards(10, 2), ...)); Config remains for
-// NewFromConfig and programmatic option application.
+// functional options (New(WithShards(10, 2), ...)), each of which sets
+// one Config field.
 type Config struct {
 	// Proxies is the number of proxies (default 1).
 	Proxies int
@@ -294,13 +294,6 @@ func New(opts ...Option) (*Cache, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	return NewFromConfig(cfg)
-}
-
-// NewFromConfig starts a deployment from an explicit Config.
-//
-// Deprecated: use New with functional options.
-func NewFromConfig(cfg Config) (*Cache, error) {
 	if cfg.NodesPerProxy == 0 {
 		cfg.NodesPerProxy = 20
 	}

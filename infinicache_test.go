@@ -52,21 +52,6 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if _, err := cl.GetCtx(ctx, "missing"); !errors.Is(err, infinicache.ErrMiss) {
 		t.Fatalf("expected ErrMiss, got %v", err)
 	}
-
-	// The deprecated context-free wrappers keep working.
-	if err := cl.Put("compat", obj[:1024]); err != nil {
-		t.Fatal(err)
-	}
-	got, err = cl.Get("compat")
-	if err != nil || !bytes.Equal(got, obj[:1024]) {
-		t.Fatalf("deprecated Get/Put round trip: %v", err)
-	}
-	if err := cl.Del("compat"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Get("compat"); !errors.Is(err, infinicache.ErrMiss) {
-		t.Fatalf("expected ErrMiss after Del, got %v", err)
-	}
 }
 
 // TestPublicAPIHotTier drives the WithHotTier option through the full

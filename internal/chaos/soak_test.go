@@ -69,7 +69,7 @@ func TestChaosSoak(t *testing.T) {
 		b := make([]byte, size)
 		rand.New(rand.NewSource(int64(i) + 1000)).Read(b)
 		values[i] = b
-		if err := cl.Put(soakKey(i), b); err != nil {
+		if err := cl.PutCtx(context.Background(), soakKey(i), b); err != nil {
 			t.Fatalf("preload %s: %v", soakKey(i), err)
 		}
 	}

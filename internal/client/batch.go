@@ -34,12 +34,13 @@ type PutResult struct {
 // MGet fetches a batch of keys. Keys are grouped by their owning proxy
 // (the consistent-hashing ring) and each group rides its proxy
 // connection as one pipelined burst: every GET frame is written back to
-// back down the single writer and the DATA fan-in is collected off one
-// shared response channel — N keys cost one windowed round trip per
-// owning proxy instead of N sequential ones. Results are positionally
-// aligned with keys; each successful Object must be Released by the
-// caller. Transient per-key failures are retried individually after
-// the burst.
+// back down the single writer and the DATA fan-in — many-stripe
+// objects included — is collected off one shared response channel, so
+// N keys cost one windowed round trip per owning proxy instead of N
+// sequential ones. Results are positionally aligned with keys; each
+// successful Object must be Released by the caller. Keys the burst
+// could not serve (a transient failure, a redirect) continue on the
+// single-key read state machine.
 func (c *Client) MGet(ctx context.Context, keys ...string) []GetResult {
 	res := make([]GetResult, len(keys))
 	groups := make(map[string][]int)
@@ -62,50 +63,34 @@ func (c *Client) MGet(ctx context.Context, keys ...string) []GetResult {
 		}(addr, idxs)
 	}
 	wg.Wait()
-	// Per-key transient failures (a backup swap mid-burst) retry on the
-	// single-key path. The burst was attempt 1, so a key gets the same
-	// getRetries total attempts it would on the GetObject path.
-	// WRONG_OWNER results (an epoch bump mid-burst) refresh the ring
-	// view once and re-run the full single-key machinery, which follows
-	// any further redirect or fallback hop itself.
+	// A transient per-key failure (a backup swap mid-burst) continues on
+	// getWithRetries with the burst counted as its first attempt, so a
+	// key gets the same getRetries total attempts it would on the
+	// GetObject path. WRONG_OWNER results (an epoch bump mid-burst) and
+	// a dead connection refresh the ring view once and re-run the full
+	// single-key machinery, which follows any further redirect or
+	// fallback hop itself.
 	refreshed := false
 	for i := range res {
 		var wo *wrongOwnerError
-		var eso errStreamObject
-		switch {
-		case errors.As(res[i].Err, &eso):
-			// A streamed object in the batch reads through the ranged
-			// plane, as on the single-key path.
-			res[i].Object, res[i].Err = c.streamObjectFallback(ctx, keys[i], eso.size)
-		case errors.As(res[i].Err, &wo):
+		hint := ""
+		switch err := res[i].Err; {
+		case errors.Is(err, errTransient), errors.Is(err, errBusyWrite):
+			res[i].Object, res[i].Err = c.getWithRetries(ctx, keys[i], wholeObject, err)
+			continue
+		case errors.As(err, &wo):
 			c.stats.Redirects.Add(1)
-			if !refreshed {
-				c.refreshRing(ctx, wo.owner)
-				refreshed = true
-			}
-			res[i].Object, res[i].Err = c.getWithRetries(ctx, keys[i])
-		case errors.Is(res[i].Err, errConnClosed):
-			// The burst's proxy died or left the cluster mid-flight:
-			// refresh once and re-route each key through the ring.
-			if !refreshed {
-				c.refreshRing(ctx, "")
-				refreshed = true
-			}
-			res[i].Object, res[i].Err = c.getWithRetries(ctx, keys[i])
-		case errors.Is(res[i].Err, errTransient):
-			var obj *Object
-			err := res[i].Err
-			for attempt := 1; attempt < getRetries && errors.Is(err, errTransient); attempt++ {
-				obj, err = c.getOnce(ctx, keys[i])
-			}
-			if errors.Is(err, errTransient) {
-				err = fmt.Errorf("%w (after %d attempts): %v", ErrRejected, getRetries, err)
-			}
-			if errors.Is(err, ErrMiss) {
-				c.stats.ColdMisses.Add(1)
-			}
-			res[i].Object, res[i].Err = obj, err
+			hint = wo.owner
+		case errors.Is(err, errConnClosed):
+			// The burst's proxy died or left the cluster mid-flight.
+		default:
+			continue
 		}
+		if !refreshed {
+			c.refreshRing(ctx, hint)
+			refreshed = true
+		}
+		res[i].Object, res[i].Err = c.getWithRetries(ctx, keys[i], wholeObject, nil)
 	}
 	return res
 }
@@ -113,7 +98,7 @@ func (c *Client) MGet(ctx context.Context, keys ...string) []GetResult {
 // mgetKey tracks one key of an MGet burst through its DATA fan-in.
 type mgetKey struct {
 	idx  int // position in keys/res
-	g    gather
+	f    fold
 	done bool // result recorded; further frames are stragglers
 }
 
@@ -130,21 +115,19 @@ func (c *Client) mgetBurst(ctx context.Context, addr string, keys []string, idxs
 		fail(err)
 		return
 	}
-	total := c.codec.TotalShards()
-	d := c.codec.DataShards()
-	// The shared channel must buffer every frame the burst can receive:
-	// up to total DATA frames plus a MISS/ERR per key (the dispatcher
-	// drops, and recycles, on overflow rather than blocking).
-	ch := make(chan *protocol.Message, len(idxs)*(total+2))
+	// The shared channel starts sized for single-stripe replies: up to
+	// d+p DATA frames plus a MISS/ERR per key. Many-stripe replies grow
+	// it (proxyConn.grow).
+	ch := make(chan *protocol.Message, len(idxs)*(c.codec.TotalShards()+2))
 	states := make(map[uint64]*mgetKey, len(idxs))
 	defer func() {
 		for seq, st := range states {
 			pc.deregister(seq)
 			if !st.done {
-				st.g.obj.Release()
+				st.f.obj.Release()
 			}
 		}
-		drainRecycle(ch)
+		pc.drain(ch)
 	}()
 
 	// One windowed burst: all GET frames are staged back to back under
@@ -163,7 +146,7 @@ func (c *Client) mgetBurst(ctx context.Context, addr string, keys []string, idxs
 			res[i].Err = connErr("get", err)
 			continue
 		}
-		states[seq] = &mgetKey{idx: i, g: gather{obj: newObject(total), size: -1}}
+		states[seq] = &mgetKey{idx: i, f: newFold()}
 		active++
 	}
 	if err := pc.conn.Flush(); err != nil {
@@ -183,23 +166,25 @@ func (c *Client) mgetBurst(ctx context.Context, addr string, keys []string, idxs
 	}
 	// One timer covers the whole collect (fixed deadline).
 	timeout := c.cfg.Clock.After(c.cfg.RequestTimeout)
-	for active > 0 {
+	for in := ch; active > 0; {
 		select {
-		case msg, ok := <-ch:
+		case msg, ok := <-in:
 			if !ok {
+				if in = pc.successor(in); in != nil {
+					continue
+				}
 				c.finishBurstKeys(states, res, errConnClosed)
 				return
 			}
 			st := states[msg.Seq]
 			if st == nil || st.done {
-				msg.Free() // straggler past first-d, or a stale frame
+				msg.Free() // straggler of a served key, or a stale frame
 				continue
 			}
-			// The per-frame state machine is the single-key one; only
-			// the result recording differs. (Unlike the single-key
-			// path, MGet does not re-insert missing chunks; the burst
-			// stays read-only.)
-			done, err := c.applyGetFrame(&st.g, keys[st.idx], msg, d, total)
+			// The frame folder is the single-key one; only the result
+			// recording differs. (Unlike the single-key path, MGet does
+			// not re-insert missing chunks; the burst stays read-only.)
+			done, err := c.applyFrame(&st.f, keys[st.idx], wholeObject, msg)
 			if !done {
 				continue
 			}
@@ -210,10 +195,10 @@ func (c *Client) mgetBurst(ctx context.Context, addr string, keys []string, idxs
 					// Final for the burst: misses are not retried below.
 					c.stats.ColdMisses.Add(1)
 				}
-				st.g.obj.Release()
+				st.f.obj.Release()
 				res[st.idx].Err = err
 			} else {
-				res[st.idx].Object = st.g.obj
+				res[st.idx].Object = st.f.obj
 			}
 		case <-ctx.Done():
 			abandon(ctx.Err())
@@ -231,7 +216,7 @@ func (c *Client) finishBurstKeys(states map[uint64]*mgetKey, res []GetResult, er
 	for _, st := range states {
 		if !st.done {
 			st.done = true
-			st.g.obj.Release()
+			st.f.obj.Release()
 			res[st.idx].Err = err
 		}
 	}
@@ -328,7 +313,7 @@ func (c *Client) mputBurst(ctx context.Context, addr string, pairs []KV, idxs []
 		for seq := range seqIdx {
 			pc.deregister(seq)
 		}
-		drainRecycle(ch)
+		pc.drain(ch)
 	}()
 
 	// Encode-and-send one pair at a time: Forward copies the payload

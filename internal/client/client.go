@@ -7,23 +7,24 @@
 //
 // The API is context-first and copy-light:
 //
-//   - GetObject returns a pooled *Object handle that owns the first-d
-//     shard buffers — no reassembly copy; stream it with WriteTo/Read or
-//     copy once with Bytes, then Release it.
+//   - GetObject returns a pooled *Object handle that owns the shard
+//     buffers the read folded — no reassembly copy; stream it with
+//     WriteTo/Read or copy once with Bytes, then Release it. GetObject,
+//     GetRange and MGet share one read path: a whole object is the
+//     range [0, size).
 //   - PutCtx/GetCtx/DelCtx/GetOrLoadCtx take a context whose
 //     cancellation or deadline propagates into every request wait; an
 //     abandoned request sends CANCEL so the proxy releases its window
 //     slots instead of serving a caller that left.
 //   - MGet/MPut (batch.go) fan a key set out across the owning proxies
 //     and ride each proxy connection as one pipelined burst.
-//   - Get/Put/Del/GetOrLoad remain as thin deprecated wrappers over the
-//     context variants.
 package client
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -477,13 +478,6 @@ func (c *Client) putOnce(ctx context.Context, info ProxyInfo, key string, value 
 	return c.putChunks(ctx, pc, key, int64(len(value)), shards, nodes, gen, false, extra)
 }
 
-// Put is PutCtx without a context.
-//
-// Deprecated: use PutCtx.
-func (c *Client) Put(key string, value []byte) error {
-	return c.PutCtx(context.Background(), key, value)
-}
-
 // putChunks pipelines a set of chunks down the proxy connection's
 // single writer — every SET frame is written back to back, then the
 // acknowledgements are collected off one shared response channel — with
@@ -513,7 +507,7 @@ func (c *Client) putChunks(ctx context.Context, pc *proxyConn, key string, objSi
 		for seq := range seqIdx {
 			pc.deregister(seq)
 		}
-		drainRecycle(ch)
+		pc.drain(ch)
 	}()
 
 	// The whole shard burst rides one Pin window: every SET frame is
@@ -638,6 +632,9 @@ func collectAcks[T any](c *Client, ctx context.Context, pc *proxyConn, ch chan *
 		select {
 		case resp, ok := <-ch:
 			if !ok {
+				if ch = pc.successor(ch); ch != nil {
+					continue
+				}
 				return errConnClosed
 			}
 			tag, mine := seqIdx[resp.Seq]
@@ -683,43 +680,54 @@ const getRetries = 3
 const busyWriteBackoff = 2 * time.Millisecond
 
 // GetObject fetches an object as a zero-copy *Object handle: the
-// pooled first-d shard buffers are handed to the caller without the
-// reassembly copy. The caller must Release the handle (after Bytes,
-// WriteTo or Read) to recycle the buffers. ErrMiss means the key is not
-// cached; ErrLost means it was cached but reclamation destroyed more
-// than p chunks (RESET it from the backing store). Transient proxy
-// failures (e.g. chunk timeouts during a backup connection swap) are
-// retried internally; ctx cancellation aborts the wait and CANCELs the
-// in-flight request at the proxy.
+// pooled shard buffers — one shard set per stripe — are handed to the
+// caller without the reassembly copy. The caller must Release the
+// handle (after Bytes, WriteTo or Read) to recycle the buffers. ErrMiss
+// means the key is not cached; ErrLost means it was cached but
+// reclamation destroyed more than p chunks of a stripe (RESET it from
+// the backing store). Transient proxy failures (e.g. chunk timeouts
+// during a backup connection swap) are retried internally; ctx
+// cancellation aborts the wait and CANCELs the in-flight request at the
+// proxy.
 func (c *Client) GetObject(ctx context.Context, key string) (*Object, error) {
 	c.stats.Gets.Add(1)
-	return c.getWithRetries(ctx, key)
+	return c.getWithRetries(ctx, key, wholeObject, nil)
 }
 
-// getWithRetries is the full single-key GET state machine: transient
-// retries, busy-write backoff, and the membership redirect protocol.
-// A WRONG_OWNER reply refreshes the ring view and retries through it; a
-// fallback redirect (migration window: the new owner misses locally)
-// asks the previous owner authoritatively, whose answer — data or miss
-// — is final. Redirect hops are budgeted separately from transient
-// retries so an epoch bump does not eat the failure budget.
-func (c *Client) getWithRetries(ctx context.Context, key string) (*Object, error) {
-	var err error
+// readSpan is what one read asks for: the byte range [off, off+n) of
+// the object. A whole-object read is the range [0, MaxInt64), which the
+// object's size clamps to [0, size); only a ranged read carries its
+// span on the wire.
+type readSpan struct {
+	off, n int64
+	ranged bool
+}
+
+var wholeObject = readSpan{n: math.MaxInt64}
+
+// getWithRetries is the one read state machine every read rides —
+// GetObject, GetRange, and the MGet keys the burst could not serve:
+// transient retries, busy-write backoff, and the membership redirect
+// protocol. A WRONG_OWNER reply refreshes the ring view and retries
+// through it; a fallback redirect (migration window: the new owner
+// misses locally) asks the previous owner authoritatively, whose
+// answer — data or miss — is final. Redirect hops are budgeted
+// separately from transient retries so an epoch bump does not eat the
+// failure budget. A non-nil err is the outcome of an attempt the caller
+// already made (an MGet burst), which counts against the budget.
+func (c *Client) getWithRetries(ctx context.Context, key string, span readSpan, err error) (*Object, error) {
 	var obj *Object
 	backoff := busyWriteBackoff
-	redirects := 0
+	attempt, redirects := 0, 0
 	direct := "" // when set, ask this proxy instead of routing by ring
 	authoritative := false
 	fallbackMissRetried := false
-	for attempt := 0; attempt < getRetries; {
-		obj, err = c.getFrom(ctx, key, direct, authoritative)
+	if err == nil {
+		obj, err = c.getFrom(ctx, key, direct, authoritative, span)
+	}
+	for {
 		var wo *wrongOwnerError
-		var eso errStreamObject
 		switch {
-		case errors.As(err, &eso):
-			// The object was streamed in stripes; a whole-object read is
-			// served by the ranged plane covering [0, size).
-			return c.streamObjectFallback(ctx, key, eso.size)
 		case authoritative && errors.Is(err, ErrMiss) && !fallbackMissRetried:
 			// A fallback miss can race the handoff completing: the
 			// source streamed the key and dropped its copy between
@@ -739,11 +747,11 @@ func (c *Client) getWithRetries(ctx context.Context, key string) (*Object, error
 				// The owner is still waiting on the migration stream;
 				// chase the key to its previous owner directly.
 				direct, authoritative = wo.owner, true
-				continue
+			} else {
+				// Plain redirect: learn the new ring, then route through it.
+				c.refreshRing(ctx, wo.owner)
+				direct, authoritative = "", false
 			}
-			// Plain redirect: learn the new ring, then route through it.
-			c.refreshRing(ctx, wo.owner)
-			direct, authoritative = "", false
 		case errors.Is(err, errBusyWrite):
 			// Adaptive overwrite-retry: the proxy said a PUT generation
 			// is mid-commit. Wait the window out (doubling per repeat)
@@ -772,8 +780,11 @@ func (c *Client) getWithRetries(ctx context.Context, key string) (*Object, error
 			}
 			return obj, err
 		}
+		if attempt >= getRetries {
+			return nil, fmt.Errorf("%w (after %d attempts): %v", ErrRejected, getRetries, err)
+		}
+		obj, err = c.getFrom(ctx, key, direct, authoritative, span)
 	}
-	return nil, fmt.Errorf("%w (after %d attempts): %v", ErrRejected, getRetries, err)
 }
 
 // GetCtx fetches and reassembles an object into a fresh contiguous
@@ -788,27 +799,26 @@ func (c *Client) GetCtx(ctx context.Context, key string) ([]byte, error) {
 	return data, nil
 }
 
-// Get is GetCtx without a context.
-//
-// Deprecated: use GetCtx, or GetObject for the zero-copy handle.
-func (c *Client) Get(key string) ([]byte, error) {
-	return c.GetCtx(context.Background(), key)
+// fold accumulates one read's reply frames into an Object, one shard
+// set per stripe. It is the one frame folder of the read path: single
+// key or MGet, whole object or range.
+type fold struct {
+	obj *Object
+	// size and stripeData (data bytes per full stripe) are learned from
+	// the first frame; every later frame must agree, so a garbled
+	// geometry arg fails the read instead of misplacing bytes.
+	size, stripeData int64
+	left             int64 // bytes of the clamped span not yet served; -1 until the first frame sizes it
 }
 
-// gather accumulates one key's first-d DATA fan-in (shared by the
-// single-key getOnce and the MGet burst collector).
-type gather struct {
-	obj      *Object
-	received int
-	size     int64
-}
+func newFold() fold { return fold{obj: &Object{valid: true}, left: -1} }
 
-// applyGetFrame advances a gather with one inbound frame. done reports
-// the key finished: with err (miss/loss/transient/rejected/decode — the
-// caller releases the partial object), or with g.obj complete (decoded
-// if one of the first d was a parity chunk, geometry recorded, Hit
-// counted) and ownership ready to hand to the caller.
-func (c *Client) applyGetFrame(g *gather, key string, msg *protocol.Message, d, total int) (done bool, err error) {
+// applyFrame advances a fold with one inbound frame. done reports the
+// read finished: with err (miss/loss/transient/rejected/decode — the
+// caller releases the partial object), or with f.obj complete (every
+// stripe of the span served, Hit counted) and ownership ready to hand
+// to the caller.
+func (c *Client) applyFrame(f *fold, key string, span readSpan, msg *protocol.Message) (done bool, err error) {
 	// Key echo check: every proxy reply carries the key of the command
 	// it answers. A mismatch means the command's key field was garbled
 	// in transit (the proxy looked up — or missed — some other key) or
@@ -821,62 +831,9 @@ func (c *Client) applyGetFrame(g *gather, key string, msg *protocol.Message, d, 
 	}
 	switch msg.Type {
 	case protocol.TData:
-		// Every DATA frame carries the object's true RS geometry; a
-		// client whose codec disagrees (e.g. a per-client WithShards
-		// override against a differently-coded deployment) must fail
-		// loudly here — decoding with the wrong code returns garbage
-		// bytes with no error.
-		if fd, ft := int(msg.Arg(2)), int(msg.Arg(3)); fd != d || ft != total {
-			msg.Free()
-			return true, fmt.Errorf("%w: object is RS(%d+%d) but this client speaks RS(%d+%d)",
-				ErrRejected, fd, ft-fd, d, total-d)
-		}
-		idx := int(msg.Arg(0))
-		if idx < 0 || idx >= total || g.obj.shards[idx] != nil {
-			msg.Free() // duplicate or out-of-range frame
-			return false, nil
-		}
-		// End-to-end integrity: the shard must be the size the geometry
-		// demands and must match the checksum computed at encode time
-		// (when the frame carries one). A mismatch means corruption in
-		// transit or at rest — treat it as a transient node failure so
-		// the retry path re-fetches (and the proxy escalates repeat
-		// offenders into erasures) instead of decoding garbage.
-		if want := c.codec.ShardSize(int(msg.Arg(1))); len(msg.Payload) != want {
-			msg.Free()
-			c.stats.ChecksumFailures.Add(1)
-			return true, fmt.Errorf("%w: chunk %d: bad shard length", errTransient, idx)
-		}
-		if len(msg.Args) > protocol.ChecksumArgData &&
-			protocol.ChunkSum(key, idx, msg.Payload) != msg.Arg(protocol.ChecksumArgData) {
-			msg.Free()
-			c.stats.ChecksumFailures.Add(1)
-			return true, fmt.Errorf("%w: chunk %d: checksum mismatch", errTransient, idx)
-		}
-		g.obj.shards[idx] = msg.Payload // ownership moves to the handle
-		msg.Payload = nil
-		g.size = msg.Arg(1)
-		g.received++
+		done, err = c.foldChunk(f, key, span, msg)
 		msg.Free()
-		if g.received < d {
-			return false, nil
-		}
-		// Reassembly is deferred to the Object handle: if one of the
-		// first d arrivals was a parity chunk, run EC reconstruction
-		// (first-d trade-off, §3.2); either way the data shards are
-		// handed over in place — no Join copy.
-		for i := 0; i < d; i++ {
-			if g.obj.shards[i] == nil {
-				c.stats.Decodes.Add(1)
-				if derr := c.codec.ReconstructData(g.obj.shards); derr != nil {
-					return true, fmt.Errorf("client: decode: %w", derr)
-				}
-				break
-			}
-		}
-		g.obj.d, g.obj.size = d, int(g.size)
-		c.stats.Hits.Add(1)
-		return true, nil
+		return done, err
 	case protocol.TMiss:
 		loss := msg.Arg(0) == 1
 		msg.Free()
@@ -897,13 +854,6 @@ func (c *Client) applyGetFrame(g *gather, key string, msg *protocol.Message, d, 
 		msg.Free()
 		return true, wo
 	case protocol.TErr:
-		if msg.Arg(0) == protocol.StreamObjectFlag {
-			// Not an error: the object was streamed in stripes and must be
-			// read through the ranged plane; Args[1] carries its size.
-			size := msg.Arg(1)
-			msg.Free()
-			return true, errStreamObject{size: size}
-		}
 		if msg.Arg(0) == protocol.TransientFlag {
 			busy := msg.Arg(1) == protocol.TransientBusyWrite
 			msg.Free()
@@ -921,18 +871,103 @@ func (c *Client) applyGetFrame(g *gather, key string, msg *protocol.Message, d, 
 	}
 }
 
-// getOnce is one ring-routed, non-authoritative GET attempt (the MGet
-// retry path rides it).
-func (c *Client) getOnce(ctx context.Context, key string) (*Object, error) {
-	return c.getFrom(ctx, key, "", false)
+// foldChunk folds one DATA frame (protocol.DataArg* layout) into its
+// stripe's shard set. A stripe is served once it holds every data shard
+// the span needs of it, or any d distinct shards — then the missing
+// data shards are reconstructed in place (first-d trade-off, §3.2),
+// with no join copy. The read is done when every byte of the clamped
+// span sits in a served stripe. The payload's ownership moves to the
+// Object; the caller frees the frame.
+func (c *Client) foldChunk(f *fold, key string, span readSpan, msg *protocol.Message) (bool, error) {
+	o := f.obj
+	size := msg.Arg(protocol.DataArgSize)
+	if f.left < 0 {
+		f.size = size
+		o.base, o.size = protocol.ClampRange(size, span.off, span.n)
+		o.d = c.codec.DataShards()
+		f.left = o.size
+	}
+	idx := int(msg.Arg(protocol.DataArgIdx))
+	if idx < 0 {
+		// The proxy's answer for an empty or past-EOF span.
+		if f.left != 0 {
+			return true, fmt.Errorf("%w: empty reply to a %d-byte read", errTransient, f.left)
+		}
+		c.stats.Hits.Add(1)
+		return true, nil
+	}
+	// Every DATA frame carries the object's true RS geometry; a client
+	// whose codec disagrees (e.g. a per-client WithShards override
+	// against a differently-coded deployment) must fail loudly here —
+	// decoding with the wrong code returns garbage bytes with no error.
+	d, total := int(msg.Arg(protocol.DataArgShards)), int(msg.Arg(protocol.DataArgTotal))
+	if cd, ct := c.codec.DataShards(), c.codec.TotalShards(); d != cd || total != ct {
+		return true, fmt.Errorf("%w: object is RS(%d+%d) but this client speaks RS(%d+%d)",
+			ErrRejected, d, total-d, cd, ct-cd)
+	}
+	stripe := int(msg.Arg(protocol.DataArgStripe))
+	start, slen := msg.Arg(protocol.DataArgStripeStart), msg.Arg(protocol.DataArgStripeLen)
+	sd := slen // data bytes per full stripe, as this frame states them
+	if stripe > 0 {
+		sd = start / int64(stripe)
+	}
+	if f.stripeData == 0 {
+		f.stripeData = sd
+	}
+	// End-to-end integrity: the stripe geometry must be the object's
+	// (every stripe stripeData long but the last, which ends the
+	// object) and intersect the span, the shard must be the size the
+	// geometry demands, and it must match the checksum computed at
+	// encode time — bound to the stripe entry's key. A mismatch means
+	// corruption in transit or at rest: fail transient so the retry path
+	// re-fetches (and the proxy escalates repeat offenders into
+	// erasures) instead of decoding garbage.
+	first, last, ok := protocol.SpanShards(start, slen, d, o.base, o.size)
+	if !ok || size != f.size || sd != f.stripeData || stripe < 0 || idx >= total ||
+		start != int64(stripe)*sd || slen != min(sd, size-start) ||
+		int64(len(msg.Payload)) != protocol.ShardSizeFor(slen, d) {
+		c.stats.ChecksumFailures.Add(1)
+		return true, fmt.Errorf("%w: stripe %d chunk %d: bad shard geometry", errTransient, stripe, idx)
+	}
+	if sum := msg.Arg(protocol.DataArgSum); sum >= 0 &&
+		protocol.ChunkSum(protocol.StripeKey(key, stripe), idx, msg.Payload) != sum {
+		c.stats.ChecksumFailures.Add(1)
+		return true, fmt.Errorf("%w: stripe %d chunk %d: checksum mismatch", errTransient, stripe, idx)
+	}
+	st := o.stripe(stripe, start, slen, total)
+	if st.served || st.shards[idx] != nil {
+		return false, nil // straggler or duplicate
+	}
+	st.shards[idx] = msg.Payload // ownership moves to the handle
+	msg.Payload = nil
+	st.got++
+	for i := first; i <= last; i++ {
+		if st.shards[i] != nil {
+			continue
+		}
+		if st.got < d {
+			return false, nil
+		}
+		c.stats.Decodes.Add(1)
+		if err := c.codec.ReconstructData(st.shards); err != nil {
+			return true, fmt.Errorf("client: decode stripe %d: %w", stripe, err)
+		}
+		break
+	}
+	st.served = true
+	if f.left -= min(start+slen, o.base+o.size) - max(start, o.base); f.left > 0 {
+		return false, nil
+	}
+	c.stats.Hits.Add(1)
+	return true, nil
 }
 
-// getFrom runs one GET attempt. With direct == "" the key's ring owner
-// is asked; otherwise direct names the proxy (a fallback target). The
-// authoritative flag (Args[0] = 1) makes the proxy serve regardless of
-// ring ownership and answer a plain MISS instead of a second fallback
+// getFrom runs one read attempt. With direct == "" the key's ring
+// owner is asked; otherwise direct names the proxy (a fallback target).
+// The authoritative flag makes the proxy serve regardless of ring
+// ownership and answer a plain MISS instead of a second fallback
 // redirect.
-func (c *Client) getFrom(ctx context.Context, key, direct string, authoritative bool) (*Object, error) {
+func (c *Client) getFrom(ctx context.Context, key, direct string, authoritative bool, span readSpan) (*Object, error) {
 	var info ProxyInfo
 	if direct == "" {
 		var err error
@@ -948,40 +983,39 @@ func (c *Client) getFrom(ctx context.Context, key, direct string, authoritative 
 		return nil, err
 	}
 	seq := c.seq.Add(1)
-	total := c.codec.TotalShards()
-	ch := pc.register(seq, total+2)
-	// release also drains straggler DATA frames that landed after the
-	// first d, recycling their pooled payloads.
+	// Sized for a single-stripe reply: up to d+p DATA frames plus a
+	// verdict. A many-stripe reply grows the channel (proxyConn.grow).
+	ch := pc.register(seq, c.codec.TotalShards()+2)
+	// release also drains straggler DATA frames that landed after their
+	// stripe was served, recycling their pooled payloads.
 	defer pc.release(seq, ch)
 
-	var getArgs []int64
-	if authoritative {
-		getArgs = []int64{1}
-	}
-	if err := pc.conn.Forward(protocol.TGet, seq, key, "", getArgs, nil); err != nil {
+	var args [3]int64
+	if err := pc.conn.Forward(protocol.TGet, seq, key, "", span.args(authoritative, &args), nil); err != nil {
 		return nil, connErr("get", err)
 	}
 
-	d := c.codec.DataShards()
-	g := gather{obj: newObject(total), size: -1}
+	f := newFold()
 	// Until the handle is handed off, every exit (miss, loss, error,
 	// timeout, cancel) returns the shards received so far to the pool.
 	handoff := false
 	defer func() {
 		if !handoff {
-			g.obj.Release()
+			f.obj.Release()
 		}
 	}()
-	// One timer covers the whole first-d wait (fixed deadline).
+	// One timer covers the whole wait (fixed deadline).
 	timeout := c.cfg.Clock.After(c.cfg.RequestTimeout)
-
-	for {
+	for in := ch; ; {
 		select {
-		case msg, ok := <-ch:
+		case msg, ok := <-in:
 			if !ok {
+				if in = pc.successor(in); in != nil {
+					continue
+				}
 				return nil, errConnClosed
 			}
-			done, ferr := c.applyGetFrame(&g, key, msg, d, total)
+			done, ferr := c.applyFrame(&f, key, span, msg)
 			if !done {
 				continue
 			}
@@ -992,10 +1026,13 @@ func (c *Client) getFrom(ctx context.Context, key, direct string, authoritative 
 			// (PoolSize unknown) — a retired fallback target is about to
 			// drain anyway.
 			if c.cfg.EnableRecovery && info.PoolSize > 0 {
-				c.maybeRecover(ctx, pc, key, info, int64(g.obj.size), g.obj.shards)
+				for i := range f.obj.stripes {
+					st := &f.obj.stripes[i]
+					c.maybeRecover(ctx, pc, protocol.StripeKey(key, st.index), info, st.slen, st.shards)
+				}
 			}
 			handoff = true
-			return g.obj, nil
+			return f.obj, nil
 		case <-ctx.Done():
 			pc.cancel(seq)
 			return nil, ctx.Err()
@@ -1006,25 +1043,44 @@ func (c *Client) getFrom(ctx context.Context, key, direct string, authoritative 
 	}
 }
 
-// maybeRecover re-encodes and re-inserts chunks that did not arrive
-// (either lost to reclamation or straggling); this is the EC recovery
-// activity plotted in Figure 14. Reconstructed shards are appended to
-// the object's shard set, so the handle's Release recycles them too.
+// args lays out the TGet args for the span (protocol.GetArg*) in buf:
+// none for a plain whole-object read, [authoritative] for a fallback
+// one, [authoritative, off, n] for a range.
+func (s readSpan) args(authoritative bool, buf *[3]int64) []int64 {
+	n := 0
+	if authoritative {
+		buf[protocol.GetArgAuthoritative], n = 1, 1
+	}
+	if s.ranged {
+		buf[protocol.GetArgOff], buf[protocol.GetArgLen], n = s.off, s.n, 3
+	}
+	return buf[:n]
+}
+
+// maybeRecover re-encodes and re-inserts the chunks of one stripe entry
+// that did not arrive (either lost to reclamation or straggling); this
+// is the EC recovery activity plotted in Figure 14. It needs d shards
+// of the stripe, so a sub-stripe read never repairs. Reconstructed
+// shards are appended to the stripe's shard set, so the handle's
+// Release recycles them too.
 //
-// Repair is single-flighted per (key, ring version) on the recovery
-// plane: N concurrent degraded GETs of the same object produce exactly
-// one set of recovery SETs — the others decode locally and skip the
-// re-insert. A completed repair is remembered (bounded done-memory), so
-// straggler-degraded reads of an already-repaired object do not write
-// again; an epoch bump naturally re-keys the space.
+// Repair is single-flighted per (entry key, ring version) on the
+// recovery plane: N concurrent degraded GETs of the same object produce
+// exactly one set of recovery SETs — the others decode locally and skip
+// the re-insert. A completed repair is remembered (bounded
+// done-memory), so straggler-degraded reads of an already-repaired
+// object do not write again; an epoch bump naturally re-keys the space.
 func (c *Client) maybeRecover(ctx context.Context, pc *proxyConn, key string, info ProxyInfo, objSize int64, shards [][]byte) {
 	var missing []int
+	held := 0
 	for i, s := range shards {
 		if s == nil {
 			missing = append(missing, i)
+		} else {
+			held++
 		}
 	}
-	if len(missing) == 0 {
+	if len(missing) == 0 || held < c.codec.DataShards() {
 		return
 	}
 	rkey := fmt.Sprintf("%s@%d", key, c.epoch.Load().Version())
@@ -1114,13 +1170,6 @@ func (c *Client) delOnce(ctx context.Context, key, addr string) error {
 	}
 }
 
-// Del is DelCtx without a context.
-//
-// Deprecated: use DelCtx.
-func (c *Client) Del(key string) error {
-	return c.DelCtx(context.Background(), key)
-}
-
 // GetOrLoadCtx returns the cached object, or loads it with loader and
 // inserts it on a miss (read-only write-through caching, §3.1). A
 // loss-triggered reload is a RESET in the paper's terminology.
@@ -1140,17 +1189,7 @@ func (c *Client) GetOrLoadCtx(ctx context.Context, key string, loader func(conte
 	if isLoss {
 		c.stats.Resets.Add(1)
 	}
-	if perr := c.PutCtx(ctx, key, obj); perr != nil {
-		// The object is still valid for the caller even if caching failed.
-		return obj, nil
-	}
+	// The object is valid for the caller even if caching it fails.
+	c.PutCtx(ctx, key, obj)
 	return obj, nil
-}
-
-// GetOrLoad is GetOrLoadCtx without a context.
-//
-// Deprecated: use GetOrLoadCtx.
-func (c *Client) GetOrLoad(key string, loader func() ([]byte, error)) ([]byte, error) {
-	return c.GetOrLoadCtx(context.Background(), key,
-		func(context.Context) ([]byte, error) { return loader() })
 }

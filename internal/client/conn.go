@@ -37,11 +37,20 @@ func connErr(op string, err error) error {
 // single reader goroutine routes frames to per-request channels by
 // sequence number (a GET receives several TData frames on one seq, and
 // a pipelined PUT routes many seqs onto one shared channel).
+//
+// A waiter channel holds every frame its seqs are sent: when the read
+// loop finds one full — a read of a many-stripe object outrunning its
+// reader — it re-registers the seqs on a channel twice the size and
+// closes the full one. The reader drains the closed channel, then
+// continues on the replacement successor returns, so frames keep their
+// order and none is dropped. A GET's channel can therefore start at the
+// size of a single-stripe reply.
 type proxyConn struct {
 	conn *protocol.Conn
 
 	mu      sync.Mutex
 	waiters map[uint64]chan *protocol.Message
+	grown   map[chan *protocol.Message]chan *protocol.Message
 	closed  bool
 }
 
@@ -97,8 +106,8 @@ func (c *Client) conn(addr string) (*proxyConn, error) {
 // under the mutex so a deregister-then-drain in release observes every
 // frame routed to its channel: once deregister returns, no more frames
 // can land there. Frames with no waiter (responses to abandoned
-// requests) and frames dropped on a full waiter buffer recycle their
-// pooled payloads here — this hop consumed them.
+// requests) recycle their pooled payloads here — this hop consumed
+// them.
 func (pc *proxyConn) readLoop() {
 	for {
 		m, err := pc.conn.Recv()
@@ -107,14 +116,13 @@ func (pc *proxyConn) readLoop() {
 			return
 		}
 		pc.mu.Lock()
-		ch := pc.waiters[m.Seq]
-		if ch != nil {
+		if ch := pc.waiters[m.Seq]; ch != nil {
 			select {
 			case ch <- m:
-				m = nil // delivered; the waiter owns the payload now
 			default:
-				// Waiter's buffer full (stale frames); drop below.
+				pc.grow(ch) <- m
 			}
+			m = nil // delivered; the waiter owns the payload now
 		}
 		pc.mu.Unlock()
 		if m != nil {
@@ -123,10 +131,38 @@ func (pc *proxyConn) readLoop() {
 	}
 }
 
-// register allocates a response channel for seq with the given buffer.
-// The buffer must cover every frame the proxy can send on that seq —
-// the dispatcher never blocks, it drops (and recycles) on overflow. On
-// an already-closed connection the channel comes back closed.
+// grow replaces the full waiter channel ch with one twice its size for
+// every seq registered on it, closes ch and returns the replacement.
+// Called with mu held.
+func (pc *proxyConn) grow(ch chan *protocol.Message) chan *protocol.Message {
+	next := make(chan *protocol.Message, 2*cap(ch)+1)
+	for seq, w := range pc.waiters {
+		if w == ch {
+			pc.waiters[seq] = next
+		}
+	}
+	if pc.grown == nil {
+		pc.grown = make(map[chan *protocol.Message]chan *protocol.Message)
+	}
+	pc.grown[ch] = next
+	close(ch)
+	return next
+}
+
+// successor returns the channel that replaced ch when the read loop
+// found it full, or nil when ch was closed because the connection died.
+// A reader whose channel reports closed drains nothing more from it and
+// continues on the successor.
+func (pc *proxyConn) successor(ch chan *protocol.Message) chan *protocol.Message {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	return pc.grown[ch]
+}
+
+// register allocates a response channel for seq with the given buffer,
+// sized for the frames the proxy usually sends on that seq (it grows on
+// demand). On an already-closed connection the channel comes back
+// closed.
 func (pc *proxyConn) register(seq uint64, buf int) chan *protocol.Message {
 	ch := make(chan *protocol.Message, buf)
 	if !pc.registerWith(seq, ch) {
@@ -172,17 +208,23 @@ func (pc *proxyConn) deregister(seq uint64) {
 	pc.mu.Unlock()
 }
 
-// drainRecycle empties whatever frames are still buffered on a waiter
-// channel after its seqs were deregistered, returning their pooled
-// payloads. Safe on a closed channel.
-func drainRecycle(ch chan *protocol.Message) {
-	for {
+// drain empties whatever frames are still buffered on a waiter channel
+// and its successors after its seqs were deregistered, returning their
+// pooled payloads and forgetting the growth chain. Safe on a closed
+// channel.
+func (pc *proxyConn) drain(ch chan *protocol.Message) {
+	for ch != nil {
 		select {
 		case m, ok := <-ch:
-			if !ok {
-				return
+			if ok {
+				m.Free()
+				continue
 			}
-			m.Free()
+			pc.mu.Lock()
+			next := pc.grown[ch]
+			delete(pc.grown, ch)
+			pc.mu.Unlock()
+			ch = next
 		default:
 			return
 		}
@@ -193,7 +235,7 @@ func drainRecycle(ch chan *protocol.Message) {
 // (straggler DATA chunks, stale errors) still parked on the channel.
 func (pc *proxyConn) release(seq uint64, ch chan *protocol.Message) {
 	pc.deregister(seq)
-	drainRecycle(ch)
+	pc.drain(ch)
 }
 
 func (pc *proxyConn) close() {

@@ -3,14 +3,16 @@ package client
 import (
 	"errors"
 	"io"
+	"sort"
 
 	"infinicache/internal/bufpool"
+	"infinicache/internal/protocol"
 )
 
 // Object is a zero-copy handle on a fetched object: it owns the pooled
-// first-d shard buffers a GET assembled and exposes the object bytes
-// without the reassembly copy the legacy Get path pays. Consume it with
-// WriteTo (streams each shard segment straight into an io.Writer), Read
+// shard buffers a GET folded — one shard set per stripe — and exposes
+// the object bytes without a reassembly copy. Consume it with WriteTo
+// (streams each shard segment straight into an io.Writer), Read
 // (sequential io.Reader), or Bytes (the one method that copies, for
 // callers that need a contiguous []byte), then call Release: it
 // returns every shard buffer to bufpool. Release is idempotent, and a
@@ -23,53 +25,76 @@ import (
 // An Object is not safe for concurrent use; its owner is whoever the
 // returning call handed it to.
 type Object struct {
-	shards [][]byte // len total; entries 0..d-1 hold the data, owned
-	d      int
-	size   int
-	off    int // Read cursor
-	valid  bool
+	// stripes hold the object bytes [base, base+size) in stripe order;
+	// a whole-object read has base 0, GetRange folds its span here too.
+	stripes []stripeSet
+	one     [1]stripeSet // inline storage: a single-stripe read allocates no stripe slice
+	d       int
+	base    int64
+	size    int64
+	off     int64 // Read cursor, relative to base
+	valid   bool
+}
+
+// stripeSet is one stripe's shard set: the data shards that cover the
+// read's bytes of the stripe (received, or reconstructed from any d).
+type stripeSet struct {
+	index       int   // stripe index within the object
+	start, slen int64 // the stripe's object bytes [start, start+slen)
+	shards      [][]byte
+	got         int // distinct shards received
+	served      bool
 }
 
 // ErrReleased is returned by Object methods used after Release.
 var ErrReleased = errors.New("client: object used after Release")
-
-// newObject returns a handle with a zeroed shards slice of len total.
-func newObject(total int) *Object {
-	return &Object{shards: make([][]byte, total), valid: true}
-}
 
 // Size returns the object's length in bytes (0 after Release).
 func (o *Object) Size() int {
 	if !o.valid {
 		return 0
 	}
-	return o.size
+	return int(o.size)
 }
 
-// segment returns the in-object byte range shard i contributes.
-func (o *Object) segment(i int) []byte {
-	s := o.shards[i]
-	lo := i * len(s)
-	if lo >= o.size {
-		return nil
+// stripe returns the shard set for stripe index, adding it — in stripe
+// order — on first sight.
+func (o *Object) stripe(index int, start, slen int64, total int) *stripeSet {
+	i := sort.Search(len(o.stripes), func(i int) bool { return o.stripes[i].index >= index })
+	if i < len(o.stripes) && o.stripes[i].index == index {
+		return &o.stripes[i]
 	}
-	n := o.size - lo
-	if n > len(s) {
-		n = len(s)
+	if o.stripes == nil {
+		o.stripes = o.one[:0]
 	}
-	return s[:n]
+	o.stripes = append(o.stripes, stripeSet{})
+	copy(o.stripes[i+1:], o.stripes[i:])
+	o.stripes[i] = stripeSet{index: index, start: start, slen: slen, shards: make([][]byte, total)}
+	return &o.stripes[i]
+}
+
+// segment returns the object bytes from absolute offset pos to the end
+// of the shard that holds pos (or of the object, if sooner).
+func (o *Object) segment(pos int64) []byte {
+	i := sort.Search(len(o.stripes), func(i int) bool {
+		return o.stripes[i].start+o.stripes[i].slen > pos
+	})
+	st := &o.stripes[i]
+	idx := int((pos - st.start) / protocol.ShardSizeFor(st.slen, o.d))
+	cs, ce := protocol.ShardSpan(st.start, st.slen, o.d, idx)
+	return st.shards[idx][pos-cs : min(ce, o.base+o.size)-cs]
 }
 
 // WriteTo streams the object into w without assembling a contiguous
-// copy: each data shard's segment is written in order straight from the
+// copy: each shard's segment is written in order straight from the
 // pooled buffer. It implements io.WriterTo.
 func (o *Object) WriteTo(w io.Writer) (int64, error) {
 	if !o.valid {
 		return 0, ErrReleased
 	}
 	var written int64
-	for i := 0; i < o.d && written < int64(o.size); i++ {
-		n, err := w.Write(o.segment(i))
+	for written < o.size {
+		n, err := w.Write(o.segment(o.base + written))
 		written += int64(n)
 		if err != nil {
 			return written, err
@@ -87,27 +112,24 @@ func (o *Object) Read(p []byte) (int, error) {
 	if o.off >= o.size {
 		return 0, io.EOF
 	}
-	shardSize := len(o.shards[0])
 	n := 0
 	for n < len(p) && o.off < o.size {
-		seg := o.segment(o.off / shardSize)
-		c := copy(p[n:], seg[o.off%shardSize:])
+		c := copy(p[n:], o.segment(o.base+o.off))
 		n += c
-		o.off += c
+		o.off += int64(c)
 	}
 	return n, nil
 }
 
-// Bytes assembles and returns a contiguous copy of the object. This is
-// the compatibility path (the legacy Get amounts to Bytes+Release); the
-// copy is freshly allocated and survives Release.
+// Bytes assembles and returns a contiguous copy of the object; the copy
+// is freshly allocated and survives Release.
 func (o *Object) Bytes() []byte {
 	if !o.valid {
 		return nil
 	}
 	out := make([]byte, 0, o.size)
-	for i := 0; i < o.d && len(out) < o.size; i++ {
-		out = append(out, o.segment(i)...)
+	for int64(len(out)) < o.size {
+		out = append(out, o.segment(o.base+int64(len(out)))...)
 	}
 	return out
 }
@@ -120,5 +142,7 @@ func (o *Object) Release() {
 		return
 	}
 	o.valid = false
-	bufpool.PutAll(o.shards)
+	for i := range o.stripes {
+		bufpool.PutAll(o.stripes[i].shards)
+	}
 }

@@ -23,20 +23,11 @@ import (
 // doing that while a new sibling SET is in flight would drop the
 // sibling too.
 //
-// GetRange fetches only the data chunks the requested byte range
-// intersects (protocol.PlanRange, executed proxy-side): a 1 MiB read of
-// a 1 GiB object costs ⌈range/shard⌉ chunk fetches, not d. A
-// whole-object GET of a streamed object is answered with a redirect
-// (protocol.StreamObjectFlag) that GetObject follows transparently.
-
-// errStreamObject reports a whole-object GET that hit a multi-stripe
-// streamed object: the proxy answers with the object's total size and
-// the client re-reads it through the ranged plane.
-type errStreamObject struct{ size int64 }
-
-func (e errStreamObject) Error() string {
-	return fmt.Sprintf("client: streamed object (%d bytes); read it ranged", e.size)
-}
+// Reads of streamed objects ride the one read path (getWithRetries):
+// GetObject is the range [0, size) and fans each stripe out like any
+// single-stripe object, while GetRange fetches only the data chunks the
+// range intersects (protocol.PlanRange, executed proxy-side) — a 1 MiB
+// read of a 1 GiB object costs ⌈range/shard⌉ chunk fetches, not d.
 
 // putWindow is how many stripes beyond the head a streaming PUT keeps
 // in flight at once. Peak client memory is about (putWindow+1) stripe
@@ -54,11 +45,9 @@ func (c *Client) stripeData() int64 {
 // cache without materialising it: bytes are read stripe by stripe, each
 // stripe erasure-coded and shipped while at most putWindow successors
 // are in flight. An object no larger than one stripe is stored exactly
-// as PutCtx stores it (and reads back through GetObject unchanged);
-// larger objects must be read back with GetRange or GetObject (which
-// follows the streamed-object redirect). A failed stream deletes
-// whatever partial stripe family landed, so the key never reads
-// half-written.
+// as PutCtx stores it; either way GetObject, GetRange and MGet read it
+// back. A failed stream deletes whatever partial stripe family landed,
+// so the key never reads half-written.
 func (c *Client) PutReader(ctx context.Context, key string, size int64, r io.Reader) error {
 	if size <= 0 {
 		return errors.New("client: empty value")
@@ -144,336 +133,20 @@ func (c *Client) PutReader(ctx context.Context, key string, size int64, r io.Rea
 // allocated buffer. The range is clamped to the object ([off, size)):
 // a read past EOF returns the bytes that exist, empty included, never
 // an error. Only the data chunks the clamped range intersects are
-// fetched; a degraded stripe (lost or corrupt chunk en route) falls
-// back to gathering d chunks of that stripe and reconstructing. Works
-// on streamed and legacy objects alike.
+// fetched; a stripe whose planned chunk misses, times out or fails its
+// checksum falls back, within the same request, to gathering d chunks
+// of that stripe and reconstructing. Works on streamed and PutCtx
+// objects alike.
 func (c *Client) GetRange(ctx context.Context, key string, off, n int64) ([]byte, error) {
 	c.stats.Gets.Add(1)
 	if n <= 0 {
 		return []byte{}, nil
 	}
-	return c.rangeWithRetries(ctx, key, off, n)
-}
-
-// streamObjectFallback serves a whole-object read of a streamed object
-// through the ranged plane and wraps the bytes as a single-shard Object
-// so the GetObject contract (WriteTo/Read/Bytes + Release) holds.
-func (c *Client) streamObjectFallback(ctx context.Context, key string, size int64) (*Object, error) {
-	data, err := c.rangeWithRetries(ctx, key, 0, size)
+	obj, err := c.getWithRetries(ctx, key, readSpan{off: off, n: n, ranged: true}, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Object{shards: [][]byte{data}, d: 1, size: len(data), valid: true}, nil
-}
-
-// rangeWithRetries is GetRange's state machine — the same transient
-// retry, busy-write backoff and membership redirect handling as
-// getWithRetries, around single rangeOnce attempts.
-func (c *Client) rangeWithRetries(ctx context.Context, key string, off, n int64) ([]byte, error) {
-	var err error
-	var data []byte
-	backoff := busyWriteBackoff
-	redirects := 0
-	direct := ""
-	authoritative := false
-	fallbackMissRetried := false
-	for attempt := 0; attempt < getRetries; {
-		data, err = c.rangeOnce(ctx, key, direct, authoritative, off, n)
-		var wo *wrongOwnerError
-		switch {
-		case authoritative && errors.Is(err, ErrMiss) && !fallbackMissRetried:
-			// Same fallback-miss race as getWithRetries: one pass back
-			// through the ring settles whether the miss is genuine.
-			fallbackMissRetried = true
-			direct, authoritative = "", false
-		case errors.As(err, &wo):
-			redirects++
-			if redirects > redirectBudget {
-				return nil, fmt.Errorf("%w: redirect loop (%d hops): %v", ErrRejected, redirects, err)
-			}
-			c.stats.Redirects.Add(1)
-			if wo.fallback {
-				direct, authoritative = wo.owner, true
-				continue
-			}
-			c.refreshRing(ctx, wo.owner)
-			direct, authoritative = "", false
-		case errors.Is(err, errBusyWrite):
-			select {
-			case <-c.cfg.Clock.After(backoff):
-				backoff *= 2
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			attempt++
-		case errors.Is(err, errTransient):
-			attempt++
-		case errors.Is(err, errConnClosed):
-			c.refreshRing(ctx, "")
-			direct, authoritative = "", false
-			attempt++
-		default:
-			if errors.Is(err, ErrMiss) {
-				c.stats.ColdMisses.Add(1)
-			}
-			return data, err
-		}
-	}
-	return nil, fmt.Errorf("%w (after %d attempts): %v", ErrRejected, getRetries, err)
-}
-
-// rangeFrameBuf sizes a ranged GET's response channel. It must cover
-// every frame the proxy can send on the seq (the dispatcher drops on
-// overflow); at the default 1 MiB stripe shard that is ~1 GiB of
-// requested range, far past any sane sub-object read. A dropped frame
-// surfaces as an incomplete assembly at the terminal, which retries as
-// a transient.
-const rangeFrameBuf = 1024
-
-// rangeOnce runs one ranged GET attempt against one proxy and
-// assembles the reply frames into the requested bytes.
-func (c *Client) rangeOnce(ctx context.Context, key, direct string, authoritative bool, off, n int64) ([]byte, error) {
-	var info ProxyInfo
-	if direct == "" {
-		var err error
-		info, err = c.proxyFor(key)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		info = c.proxyInfo(direct)
-	}
-	pc, err := c.conn(info.Addr)
-	if err != nil {
-		return nil, err
-	}
-	seq := c.seq.Add(1)
-	ch := pc.register(seq, rangeFrameBuf)
-	defer pc.release(seq, ch)
-
-	var args [4]int64
-	if authoritative {
-		args[0] = 1
-	}
-	args[protocol.RangeArgFlag] = 1
-	args[protocol.RangeArgOff] = off
-	args[protocol.RangeArgLen] = n
-	if err := pc.conn.Forward(protocol.TGet, seq, key, "", args[:], nil); err != nil {
-		return nil, connErr("get range", err)
-	}
-
-	asm := rangeAssembler{c: c, key: key, off: off, n: n}
-	defer asm.release()
-	// One timer covers the whole wait (fixed deadline), as on the
-	// whole-object GET path.
-	timeout := c.cfg.Clock.After(c.cfg.RequestTimeout)
-	for {
-		select {
-		case msg, ok := <-ch:
-			if !ok {
-				return nil, errConnClosed
-			}
-			done, out, ferr := asm.apply(msg)
-			if done {
-				return out, ferr
-			}
-		case <-ctx.Done():
-			pc.cancel(seq)
-			return nil, ctx.Err()
-		case <-timeout:
-			pc.cancel(seq)
-			return nil, ErrTimeout
-		}
-	}
-}
-
-// stripeGather accumulates a degraded stripe's d-chunk fan-in until it
-// can be reconstructed.
-type stripeGather struct {
-	start, slen int64
-	shards      [][]byte // len total; pooled payloads, owned here
-	got         int
-}
-
-// rangeAssembler folds the reply frames of one ranged GET into the
-// requested bytes. Healthy chunks are copied straight into the output
-// (the payload returns to the pool immediately); degraded stripes
-// gather d chunks, reconstruct, then copy. The terminal frame (idx -1,
-// always last in FIFO order) closes the assembly; by then every byte of
-// the clamped range must be covered exactly once — anything else
-// (dropped frame, half-gathered stripe) fails transient so the retry
-// path re-plans.
-type rangeAssembler struct {
-	c        *Client
-	key      string
-	off, n   int64 // requested range, unclamped
-	out      []byte
-	coff     int64 // clamped offset (valid once sized)
-	covered  int64
-	sized    bool
-	degraded map[int]*stripeGather
-}
-
-// size clamps the request against the authoritative object size (every
-// reply frame carries it) and allocates the output on first use.
-func (a *rangeAssembler) size(size int64) {
-	if a.sized {
-		return
-	}
-	coff, cn := protocol.ClampRange(size, a.off, a.n)
-	a.coff = coff
-	a.out = make([]byte, cn)
-	a.sized = true
-}
-
-// copySpan copies the overlap of shard bytes covering object range
-// [cs, ce) into the output and accounts the coverage.
-func (a *rangeAssembler) copySpan(payload []byte, cs, ce int64) {
-	lo := max(cs, a.coff)
-	hi := min(ce, a.coff+int64(len(a.out)))
-	if lo >= hi {
-		return
-	}
-	copy(a.out[lo-a.coff:hi-a.coff], payload[lo-cs:hi-cs])
-	a.covered += hi - lo
-}
-
-// apply folds one frame in. done reports the attempt finished, with
-// the assembled bytes or the error to feed the retry machinery.
-func (a *rangeAssembler) apply(msg *protocol.Message) (done bool, out []byte, err error) {
-	// Key echo check, as on the whole-object path: a mismatched reply
-	// proves nothing about our key.
-	if msg.Key != "" && msg.Key != a.key {
-		msg.Free()
-		a.c.stats.ChecksumFailures.Add(1)
-		return true, nil, fmt.Errorf("%w: reply key mismatch", errTransient)
-	}
-	switch msg.Type {
-	case protocol.TData:
-		a.size(msg.Arg(protocol.RangeDataArgSize))
-		idx := int(msg.Arg(protocol.RangeDataArgIdx))
-		if idx < 0 {
-			// Terminal frame: the proxy sent everything it fetched.
-			msg.Free()
-			if a.covered != int64(len(a.out)) || len(a.degraded) > 0 {
-				return true, nil, fmt.Errorf("%w: range assembly incomplete (%d/%d bytes)",
-					errTransient, a.covered, len(a.out))
-			}
-			a.c.stats.Hits.Add(1)
-			out, a.out = a.out, nil
-			return true, out, nil
-		}
-		return a.applyChunk(msg, idx)
-	case protocol.TMiss:
-		loss := msg.Arg(0) == 1
-		msg.Free()
-		if loss {
-			a.c.stats.Losses.Add(1)
-			return true, nil, ErrLost
-		}
-		return true, nil, ErrMiss
-	case protocol.TWrongOwner:
-		wo := &wrongOwnerError{
-			version:  uint64(msg.Arg(0)),
-			owner:    msg.Addr,
-			fallback: msg.Arg(1) == 1,
-		}
-		msg.Free()
-		return true, nil, wo
-	case protocol.TErr:
-		if msg.Arg(0) == protocol.TransientFlag {
-			busy := msg.Arg(1) == protocol.TransientBusyWrite
-			msg.Free()
-			if busy {
-				return true, nil, errBusyWrite
-			}
-			return true, nil, errTransient
-		}
-		err = fmt.Errorf("%w: %s", ErrRejected, msg.Payload)
-		msg.Free()
-		return true, nil, err
-	default:
-		msg.Free()
-		return false, nil, nil
-	}
-}
-
-// applyChunk folds one data-chunk frame in.
-func (a *rangeAssembler) applyChunk(msg *protocol.Message, idx int) (done bool, out []byte, err error) {
-	d, total := int(msg.Arg(protocol.RangeDataArgShards)), int(msg.Arg(protocol.RangeDataArgTotal))
-	if cd, ct := a.c.codec.DataShards(), a.c.codec.TotalShards(); d != cd || total != ct {
-		msg.Free()
-		return true, nil, fmt.Errorf("%w: object is RS(%d+%d) but this client speaks RS(%d+%d)",
-			ErrRejected, d, total-d, cd, ct-cd)
-	}
-	stripe := int(msg.Arg(protocol.RangeDataArgStripe))
-	start := msg.Arg(protocol.RangeDataArgStripeStart)
-	slen := msg.Arg(protocol.RangeDataArgStripeLen)
-	flags := msg.Arg(protocol.RangeDataArgFlags)
-	// End-to-end integrity: length per the stripe geometry, checksum
-	// bound to the stripe entry's key — exactly what was computed at
-	// encode time.
-	if want := protocol.ShardSizeFor(slen, d); int64(len(msg.Payload)) != want || idx >= total {
-		msg.Free()
-		a.c.stats.ChecksumFailures.Add(1)
-		return true, nil, fmt.Errorf("%w: stripe %d chunk %d: bad shard length", errTransient, stripe, idx)
-	}
-	if flags&protocol.RangeFlagHasSum != 0 &&
-		protocol.ChunkSum(protocol.StripeKey(a.key, stripe), idx, msg.Payload) != msg.Arg(protocol.RangeDataArgSum) {
-		msg.Free()
-		a.c.stats.ChecksumFailures.Add(1)
-		return true, nil, fmt.Errorf("%w: stripe %d chunk %d: checksum mismatch", errTransient, stripe, idx)
-	}
-
-	if flags&protocol.RangeFlagDegraded == 0 {
-		// Healthy chunk: copy its overlap with the request and recycle.
-		cs, ce := protocol.ShardSpan(start, slen, d, idx)
-		a.copySpan(msg.Payload, cs, ce)
-		msg.Free()
-		return false, nil, nil
-	}
-
-	// Degraded stripe: the proxy fanned out d present chunks (data or
-	// parity); gather them, reconstruct the data shards, then copy the
-	// stripe's whole overlap with the request.
-	if a.degraded == nil {
-		a.degraded = make(map[int]*stripeGather)
-	}
-	g := a.degraded[stripe]
-	if g == nil {
-		g = &stripeGather{start: start, slen: slen, shards: make([][]byte, total)}
-		a.degraded[stripe] = g
-	}
-	if g.shards[idx] != nil {
-		msg.Free() // duplicate
-		return false, nil, nil
-	}
-	g.shards[idx] = msg.Payload // ownership moves to the gather
-	msg.Payload = nil
-	msg.Free()
-	g.got++
-	if g.got < d {
-		return false, nil, nil
-	}
-	a.c.stats.Decodes.Add(1)
-	if derr := a.c.codec.ReconstructData(g.shards); derr != nil {
-		return true, nil, fmt.Errorf("client: decode stripe %d: %w", stripe, derr)
-	}
-	for i := 0; i < d; i++ {
-		cs, ce := protocol.ShardSpan(g.start, g.slen, d, i)
-		a.copySpan(g.shards[i], cs, ce)
-	}
-	bufpool.PutAll(g.shards)
-	delete(a.degraded, stripe)
-	return false, nil, nil
-}
-
-// release recycles whatever pooled buffers half-gathered degraded
-// stripes still hold (every exit path runs it; completed gathers have
-// already drained).
-func (a *rangeAssembler) release() {
-	for _, g := range a.degraded {
-		bufpool.PutAll(g.shards)
-	}
-	a.degraded = nil
+	data := obj.Bytes()
+	obj.Release()
+	return data, nil
 }

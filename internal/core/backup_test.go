@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -105,7 +106,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 func TestBackupCreatesPeerReplicas(t *testing.T) {
 	d, c, _ := backupDeployment(t, nil)
 	obj := randObj(42, 512<<10)
-	if err := c.Put("backed-up", obj); err != nil {
+	if err := c.PutCtx(context.Background(), "backed-up", obj); err != nil {
 		t.Fatal(err)
 	}
 
@@ -133,7 +134,7 @@ func TestBackupCreatesPeerReplicas(t *testing.T) {
 func TestBackupSurvivesSourceReclaim(t *testing.T) {
 	d, c, _ := backupDeployment(t, nil)
 	obj := randObj(43, 512<<10)
-	if err := c.Put("durable", obj); err != nil {
+	if err := c.PutCtx(context.Background(), "durable", obj); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 60*time.Second, "completed backups on all nodes", func() bool {
@@ -148,7 +149,7 @@ func TestBackupSurvivesSourceReclaim(t *testing.T) {
 		}
 	}
 
-	got, err := c.Get("durable")
+	got, err := c.GetCtx(context.Background(), "durable")
 	if err != nil {
 		t.Fatalf("get after reclaiming all sources: %v", err)
 	}
@@ -165,7 +166,7 @@ func TestBackupDeltaSync(t *testing.T) {
 		cfg.WarmupInterval = 2 * time.Second
 		cfg.BackupInterval = 4 * time.Second
 	})
-	if err := c.Put("delta-1", randObj(1, 128<<10)); err != nil {
+	if err := c.PutCtx(context.Background(), "delta-1", randObj(1, 128<<10)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 60*time.Second, "first backup wave", func() bool {
@@ -173,7 +174,7 @@ func TestBackupDeltaSync(t *testing.T) {
 	})
 	// Insert more data, then let further backup rounds replicate it.
 	obj2 := randObj(2, 128<<10)
-	if err := c.Put("delta-2", obj2); err != nil {
+	if err := c.PutCtx(context.Background(), "delta-2", obj2); err != nil {
 		t.Fatal(err)
 	}
 	first := d.Proxies[0].Stats().BackupsDone.Load()
@@ -185,7 +186,7 @@ func TestBackupDeltaSync(t *testing.T) {
 		d.Platform.ForceReclaimN(NodeName(0, i), 1)
 	}
 	for _, key := range []string{"delta-1", "delta-2"} {
-		if _, err := c.Get(key); err != nil {
+		if _, err := c.GetCtx(context.Background(), key); err != nil {
 			t.Fatalf("get %s after reclaim: %v", key, err)
 		}
 	}
@@ -213,7 +214,7 @@ func TestServingDuringBackup(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		key := fmt.Sprintf("live-%d", i)
 		objs[key] = randObj(int64(i), 256<<10)
-		if err := c.Put(key, objs[key]); err != nil {
+		if err := c.PutCtx(context.Background(), key, objs[key]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,7 +222,7 @@ func TestServingDuringBackup(t *testing.T) {
 	gets := 0
 	for clk.Since(start) < 60*time.Second { // virtual; spans many rounds
 		for key, want := range objs {
-			got, err := c.Get(key)
+			got, err := c.GetCtx(context.Background(), key)
 			if err != nil {
 				t.Fatalf("get %s during backup era: %v", key, err)
 			}

@@ -6,21 +6,17 @@ import "hash/crc32"
 // field, so the frame layout (and every decoder) is unchanged:
 //
 //   - client SET (8 routing args): Args[ChecksumArgSet] = sum
-//   - proxy DATA ([idx, objSize, d, total]): Args[ChecksumArgData] = sum
+//   - proxy DATA (stream.go): Args[DataArgSum] = sum, -1 when absent
 //
-// A frame without the checksum arg simply skips verification — older
+// A chunk stored without a checksum simply skips verification — older
 // peers and arg-free node frames keep working. The sum is CRC32-C
 // (Castagnoli): hardware-accelerated on both amd64 and arm64, and
 // strong enough to catch the bit flips and truncations the chaos plane
 // injects (integrity against faults, not against an adversary).
-const (
-	// ChecksumArgSet is the index of the chunk checksum in a client SET
-	// frame's Args (after the 8 routing args; see proxy's setArg* consts).
-	ChecksumArgSet = 8
-	// ChecksumArgData is the index of the chunk checksum in a DATA
-	// frame's Args (after [idx, objSize, dataShards, totalShards]).
-	ChecksumArgData = 4
-)
+//
+// ChecksumArgSet is the index of the chunk checksum in a client SET
+// frame's Args (after the 8 routing args; see proxy's setArg* consts).
+const ChecksumArgSet = 8
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 

@@ -5,17 +5,19 @@ import (
 	"strings"
 )
 
-// Streaming object plane wire contract.
+// Read-path wire contract. Every read — a whole-object GET, a ranged
+// GET, each key of an MGet — is one TGet and one stream of stripe-tagged
+// DATA frames; a whole-object read is the range [0, size).
 //
-// A streamed object is a sequence of stripes, each an independent
+// An object is a sequence of stripes, each an independent
 // erasure-coded sub-object: stripe s holds object bytes
 // [s*stripeData, min((s+1)*stripeData, size)) split across d data
 // shards plus parity. Stripe 0 lives under the object's own key — a
-// single-stripe streamed PUT is byte-identical to a legacy PUT — and
+// single-stripe streamed PUT is byte-identical to a PutCtx PUT — and
 // stripe 0's mapping entry is the object's head: it alone carries the
-// stream geometry (total size and data bytes per full stripe) that
-// lets the proxy plan ranged reads. Stripes s > 0 live under
-// StripeKey(parent, s).
+// stream geometry (total size and data bytes per full stripe) of a
+// multi-stripe object. Stripes s > 0 live under StripeKey(parent, s).
+// An object without stream geometry is one stripe of its own size.
 //
 // SET frames for a head entry append the stream geometry after the
 // chunk checksum:
@@ -23,57 +25,44 @@ import (
 //	Args[StreamArgSize]       total object size in bytes
 //	Args[StreamArgStripeData] data bytes per full stripe
 //
-// A ranged GET (client -> proxy) extends the TGet frame:
+// A TGet carries [authoritative] for a whole object and
+// [authoritative, off, n] for the byte range [off, off+n); the proxy
+// clamps the range with ClampRange and plans it with PlanRange.
 //
-//	Args[0]            authoritative flag (as for whole-object GET)
-//	Args[RangeArgFlag] 1 marks the request ranged
-//	Args[RangeArgOff]  byte offset into the object
-//	Args[RangeArgLen]  byte count requested
-//
-// The proxy answers with one TData frame per fetched data chunk,
-// followed by a terminal TData frame with Args[0] == -1 and an empty
-// payload (the terminal frame is the sole reply for an empty or fully
-// clamped-away range). Per-chunk reply args are indexed by the
-// RangeData* constants; the client derives the chunk's object span
-// with ShardSpan and copies only the bytes intersecting its request.
+// The proxy answers with one DATA frame per chunk it relays, args
+// indexed by the DataArg* constants. Per stripe of the plan it relays
+// the planned data shards or, for a stripe the span covers whole (or
+// one whose planned shard failed), the first d chunks of a fan-out
+// over the stripe's present chunks. The client folds each stripe until
+// it holds every planned shard or any d distinct shards, and the reply
+// ends when every stripe of the clamped range is served — there is no
+// terminal frame. An empty or past-EOF range is answered by one
+// payload-less DATA frame with Args[DataArgIdx] == -1 and the object
+// size.
 const (
 	// StreamArgSize / StreamArgStripeData index the stream geometry in
 	// a head-entry SET's Args. Only stripe-0 SETs of streamed objects
-	// carry them; their absence (nargs <= StreamArgSize) marks a legacy
+	// carry them; their absence (nargs <= StreamArgSize) marks a
 	// single-stripe object.
 	StreamArgSize       = 9
 	StreamArgStripeData = 10
 
-	// Ranged TGet request args (Args[0] stays the authoritative flag).
-	RangeArgFlag = 1
-	RangeArgOff  = 2
-	RangeArgLen  = 3
+	// TGet request args. A request with more than GetArgOff args is
+	// ranged.
+	GetArgAuthoritative = 0
+	GetArgOff           = 1
+	GetArgLen           = 2
 
-	// Ranged TData reply args, one frame per fetched chunk.
-	RangeDataArgIdx         = 0 // data-shard index within the stripe; -1 on the terminal frame
-	RangeDataArgSize        = 1 // total object size (every frame, including terminal)
-	RangeDataArgShards      = 2 // d for the stripe
-	RangeDataArgTotal       = 3 // d+p for the stripe
-	RangeDataArgSum         = 4 // chunk checksum (valid when RangeFlagHasSum set)
-	RangeDataArgStripe      = 5 // stripe index
-	RangeDataArgStripeStart = 6 // object offset of the stripe's first byte
-	RangeDataArgStripeLen   = 7 // data bytes in the stripe
-	RangeDataArgFlags       = 8 // RangeFlag* bits
-
-	// RangeFlagDegraded marks a chunk from a degraded stripe: the proxy
-	// could not serve the exact intersecting shards and is fanning out d
-	// present chunks instead; the client must gather the stripe and
-	// reconstruct before slicing.
-	RangeFlagDegraded = 1
-	// RangeFlagHasSum marks RangeDataArgSum as a valid end-to-end chunk
-	// checksum.
-	RangeFlagHasSum = 2
-
-	// StreamObjectFlag in a TErr's Args[0] answers a whole-object GET of
-	// a multi-stripe object: the frame is not an error but a redirect to
-	// the ranged path; Args[1] carries the object's total size so the
-	// client can reissue the read as GetRange(key, 0, size).
-	StreamObjectFlag = 2
+	// DATA reply args, one frame per relayed chunk.
+	DataArgIdx         = 0 // shard index within the stripe; -1 on an empty reply
+	DataArgSize        = 1 // total object size
+	DataArgShards      = 2 // d for the stripe
+	DataArgTotal       = 3 // d+p for the stripe
+	DataArgSum         = 4 // chunk checksum, or -1 when the stored chunk has none
+	DataArgStripe      = 5 // stripe index
+	DataArgStripeStart = 6 // object offset of the stripe's first byte
+	DataArgStripeLen   = 7 // data bytes in the stripe
+	DataArgs           = 8 // args per DATA frame
 )
 
 // stripeSep separates a parent key from its stripe suffix. The unit
@@ -105,23 +94,20 @@ func ParseStripeKey(key string) (parent string, stripe int) {
 }
 
 // ClampRange clamps the requested range [off, off+n) to [0, size),
-// returning the clamped offset and length. Negative offsets and
-// lengths clamp to empty, as do ranges entirely past EOF.
+// returning the clamped offset and length. Negative offsets eat into
+// the length; negative lengths and ranges entirely past EOF clamp to
+// empty. off and n come off the wire, so every int64 pair is valid
+// input: no step can overflow.
 func ClampRange(size, off, n int64) (int64, int64) {
+	if n <= 0 {
+		return min(max(off, 0), size), 0
+	}
 	if off < 0 {
-		n += off
+		n += off // n > 0 > off: cannot overflow
 		off = 0
 	}
-	if n < 0 {
-		n = 0
-	}
-	if off > size {
-		off = size
-	}
-	if off+n > size {
-		n = size - off
-	}
-	return off, n
+	off = min(off, size)
+	return off, min(max(n, 0), size-off)
 }
 
 // StripeCount returns the number of stripes an object of size bytes
@@ -162,9 +148,9 @@ func ShardSpan(stripeStart, stripeLen int64, d, idx int) (start, end int64) {
 	return start, end
 }
 
-// StripeSpan describes one stripe intersected by a planned ranged
-// read: which data shards to fetch and where the stripe's data bytes
-// sit in the object.
+// StripeSpan describes one stripe intersected by a planned read:
+// which data shards to fetch and where the stripe's data bytes sit in
+// the object.
 type StripeSpan struct {
 	Stripe int   // stripe index
 	Start  int64 // object offset of the stripe's first data byte
@@ -172,8 +158,29 @@ type StripeSpan struct {
 	Shards []int // intersecting data-shard indexes, ascending
 }
 
-// PlanRange maps the byte range [off, off+n) of a streamed object onto
-// the minimal set of data chunks that cover it: for each intersected
+// Whole reports whether the span covers its whole stripe — every data
+// shard that holds object bytes — so that any d chunks of the stripe
+// serve it.
+func (sp StripeSpan) Whole(d int) bool {
+	return len(sp.Shards) == int((sp.Len-1)/ShardSizeFor(sp.Len, d))+1
+}
+
+// SpanShards returns the data shards [first, last] of the stripe whose
+// data bytes span [start, start+slen) that overlap the clamped range
+// [off, off+n); ok is false when the stripe and the range are
+// disjoint. Every shard in [first, last] holds object bytes: zero
+// padding past the stripe's end is never planned.
+func SpanShards(start, slen int64, d int, off, n int64) (first, last int, ok bool) {
+	lo, hi := max(off, start), min(off+n, start+slen)
+	if lo >= hi || d <= 0 {
+		return 0, 0, false
+	}
+	ss := ShardSizeFor(slen, d)
+	return int((lo - start) / ss), int((hi - 1 - start) / ss), true
+}
+
+// PlanRange maps the byte range [off, off+n) of an object onto the
+// minimal set of data chunks that cover it: for each intersected
 // stripe, exactly the data shards whose spans overlap the clamped
 // range — never parity, never a full-d fan-out for a sub-stripe read.
 // The range is clamped with ClampRange first; an empty result means an
@@ -183,41 +190,16 @@ func PlanRange(size, stripeData int64, d int, off, n int64) []StripeSpan {
 	if n == 0 || d <= 0 || stripeData <= 0 {
 		return nil
 	}
-	end := off + n
-	var spans []StripeSpan
-	for s := int(off / stripeData); ; s++ {
-		start := int64(s) * stripeData
-		if start >= end {
-			break
+	firstStart := off / stripeData * stripeData
+	spans := make([]StripeSpan, 0, (off+n-firstStart+stripeData-1)/stripeData)
+	for start := firstStart; start < off+n; start += stripeData {
+		slen := min(stripeData, size-start)
+		first, last, _ := SpanShards(start, slen, d, off, n)
+		sp := StripeSpan{Stripe: int(start / stripeData), Start: start, Len: slen, Shards: make([]int, 0, last-first+1)}
+		for i := first; i <= last; i++ {
+			sp.Shards = append(sp.Shards, i)
 		}
-		slen := stripeData
-		if start+slen > size {
-			slen = size - start
-		}
-		ss := ShardSizeFor(slen, d)
-		lo, hi := off, end
-		if lo < start {
-			lo = start
-		}
-		if limit := start + slen; hi > limit {
-			hi = limit
-		}
-		if lo >= hi {
-			break
-		}
-		first := int((lo - start) / ss)
-		last := int((hi - 1 - start) / ss)
-		sp := StripeSpan{Stripe: s, Start: start, Len: slen}
-		for i := first; i <= last && i < d; i++ {
-			// Skip shards that are pure zero padding (possible when the
-			// final stripe's data rounds up past its byte count).
-			if cs, ce := ShardSpan(start, slen, d, i); cs < ce {
-				sp.Shards = append(sp.Shards, i)
-			}
-		}
-		if len(sp.Shards) > 0 {
-			spans = append(spans, sp)
-		}
+		spans = append(spans, sp)
 	}
 	return spans
 }

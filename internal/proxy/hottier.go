@@ -18,11 +18,10 @@ import (
 // capture began (the epoch token).
 //
 // What it stores: the object's chunk payloads, sparse by chunk index
-// (exactly d of the total entries non-nil — the data shards on the
-// write-through path, whichever d chunks streamed first on the
-// read-through path), so a hit replays the same first-d DATA frames a
-// node fan-in would have produced and the client-side decode path is
-// untouched.
+// (the data shards on the write-through path, whichever chunks served
+// the read on the read-through path), so a hit replays the same DATA
+// frames a node fan-in would have produced and the client-side decode
+// path is untouched. Only single-stripe objects are admitted.
 //
 // Admission is write-through and read-through, both gated by a ghost
 // filter (a payload-less CLOCK cache of recently-seen keys): the first
@@ -65,10 +64,10 @@ type hotEntry struct {
 	size   int64    // original object size
 	d      int      // data shards
 	total  int      // total shards
-	chunks [][]byte // len total, exactly d non-nil; GC-owned
+	chunks [][]byte // len total, the serving chunks non-nil; GC-owned
 	bytes  int64    // sum of chunk lengths (accounting size)
 
-	// wire is the entry's precomputed reply image: the d DATA frames a
+	// wire is the entry's precomputed reply image: the DATA frames a
 	// hit replays, headers fully encoded at admission with only the seq
 	// left as a hole. A hit is then a single SendPrebuilt — no header
 	// encoding, no per-chunk Forward calls. The image pins the chunk
@@ -77,22 +76,22 @@ type hotEntry struct {
 	wire *protocol.Prebuilt
 }
 
-// buildWire precomputes the DATA-burst image for one admitted object.
-// Frame layout matches what serveHot's per-chunk Forward loop produced:
-// type DATA, the object key, args {index, object size, d, total,
-// CRC32-C}, the chunk payload. The checksum is computed here — once per
-// admission, off the hit path — so tier-served reads carry the same
-// end-to-end integrity arg as node-served ones.
+// buildWire precomputes the DATA-burst image for one admitted object:
+// one frame per held chunk in the read path's stripe-tagged layout
+// (dataArgs; the object is its own single stripe), the chunk payload
+// pinned. The checksum is computed here — once per admission, off the
+// hit path — so tier-served reads carry the same end-to-end integrity
+// arg as node-served ones. A nil image (over wire limits) keeps the
+// object out of the tier.
 func buildWire(key string, size int64, d, total int, chunks [][]byte) *protocol.Prebuilt {
 	w := &protocol.Prebuilt{}
-	var args [5]int64
 	for i, chunk := range chunks {
 		if chunk == nil {
 			continue
 		}
-		args = [5]int64{int64(i), size, int64(d), int64(total), protocol.ChunkSum(key, i, chunk)}
+		args := dataArgs(size, 0, 0, size, d, total, i, chunkLoc{Sum: protocol.ChunkSum(key, i, chunk), HasSum: true})
 		if err := w.Append(protocol.TData, key, "", args[:], chunk); err != nil {
-			return nil // over wire limits; caller falls back to Forward
+			return nil
 		}
 	}
 	return w
@@ -205,7 +204,8 @@ func (h *hotTier) invalidateLocked(key string) {
 }
 
 // insert admits one object captured under token. chunks must be sparse
-// by index with exactly d non-nil entries; ownership passes to the tier
+// by index and hold enough chunks to serve the object (d, or every data
+// shard that holds bytes); ownership passes to the tier
 // (the slices must be fresh, GC-owned copies). The insert is dropped if
 // any invalidation for key landed after token was issued, or if the
 // object alone exceeds the tier capacity. Eviction then runs the CLOCK
@@ -222,6 +222,9 @@ func (h *hotTier) insert(key string, size int64, d, total int, chunks [][]byte, 
 	// CPU work on immutable inputs, and a stale capture (checked below)
 	// just lets the image die with the entry.
 	wire := buildWire(key, size, d, total, chunks)
+	if wire == nil {
+		return
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if token < h.floor || token < h.lastInval[key] {

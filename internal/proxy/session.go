@@ -23,18 +23,8 @@ import (
 //	        against the payload on arrival and stored with the chunk's
 //	        mapping so node read-backs can be verified end to end.
 //
-// GET requests may carry Args[0] = 1, the authoritative flag: serve
-// regardless of ring ownership and answer a plain MISS instead of a
-// fallback redirect (the client is already chasing a fallback).
-//
-// GET responses (TData, one per chunk) carry:
-//
-//	Args[0] chunk index
-//	Args[1] object size
-//	Args[2] data shards d
-//	Args[3] total chunks
-//	Args[4] chunk CRC32-C (optional; present when the stored chunk has
-//	        one, letting the client verify the proxy→client hop too)
+// GET requests and DATA replies follow the read-path wire contract in
+// internal/protocol/stream.go.
 const (
 	setArgIdx = iota
 	setArgTotal
@@ -112,11 +102,12 @@ type session struct {
 	hedgeC <-chan time.Time
 }
 
-// hedgeItem is one armed hedge: when at passes and the GET is still
-// short of d chunks, one extra backup chunk is requested.
+// hedgeItem is one armed hedge: when at passes and the read's stripe
+// is still short of its chunks, one extra backup chunk is requested.
 type hedgeItem struct {
-	op *getOp
-	at time.Time
+	op     *readOp
+	stripe int
+	at     time.Time
 }
 
 // hotPut accumulates one PUT generation's hot-tier admission.
@@ -161,37 +152,69 @@ type genState struct {
 	refused bool
 }
 
-// getOp tracks one client GET through its chunk fan-out.
-type getOp struct {
+// readOp tracks one client GET — a whole object or a byte range, which
+// is the same thing planned over a different span — through its
+// per-stripe chunk plan (protocol.PlanRange). Chunks stream to the
+// client as they land; the op is served once every stripe is.
+type readOp struct {
 	clientSeq uint64
-	key       string
-	size      int64
-	d, total  int
-	requested int      // chunk GETs issued
+	key       string // parent object key (reply key)
+	size      int64  // total object size
+	stripes   []stripeRead
+	unserved  int      // stripes still short of their chunks
 	remaining int      // chunk GETs not yet completed
-	forwarded int      // DATA frames relayed to the client
-	missed    int      // definitive node MISSes
-	failed    int      // transient failures (timeout, swap)
 	done      bool     // the client already got its answer (or walked away)
+	degraded  bool     // a stripe was planned around, or hit, a failed chunk
 	seqs      []uint64 // node request seqs, for cancellation
-	epoch     uint64   // mapping-entry incarnation this GET snapshotted
 
-	// chunks is the mapping entry's chunk snapshot at fan-out time:
-	// per-index node placement plus the stored checksums read-backs are
-	// verified against.
-	chunks []chunkLoc
-	// backlog holds present chunk indexes deliberately not requested by
-	// the hedged fan-out (Config.HedgedGets): replacements for misses
-	// and hedge-timer extras pop from here.
-	backlog []int
-
-	// Read-through hot-tier admission: when the tier's ghost filter
-	// marked this key warm, the first d forwarded payloads are copied
-	// here (sparse by index) and inserted on the d-th; hotToken fences
-	// the insert against writes that land during the fan-in.
+	// Read-through hot-tier admission (whole reads of single-stripe
+	// ghost-warm keys): the relayed payloads are copied here, sparse by
+	// index, and inserted once the read is served; hotToken fences the
+	// insert against writes that land during the fan-in.
 	capture  [][]byte
 	hotToken uint64
 }
+
+// stripeRead is one stripe of a read's plan. A span covering the whole
+// stripe fans out to every present chunk and is served by the first d
+// to arrive (§3.2). A sub-stripe span fetches exactly its planned data
+// shards; when one misses, times out or fails its checksum, the stripe
+// falls back to the whole-stripe fan-out over the present chunks it
+// has not relayed, and chunks already relayed count toward d.
+type stripeRead struct {
+	key         string // mapping-entry key (parent or stripe key)
+	index       int    // stripe index within the object
+	start, slen int64  // the stripe's object bytes [start, start+slen)
+	d, total    int
+	epoch       uint64 // mapping-entry incarnation this read snapshotted
+	// chunks is the entry's chunk snapshot at plan time: per-index node
+	// placement plus the stored checksums read-backs are verified
+	// against.
+	chunks      []chunkLoc
+	state       []chunkState // per chunk index
+	first, last int          // planned data shards
+	fanout      bool         // whole-stripe fan-out, planned or fallen back to
+	refetched   bool         // a planned shard was re-read after a first checksum strike
+	planned     int          // planned shards relayed
+	relayed     int          // chunks relayed
+	served      bool
+	// backlog holds present chunk indexes deliberately not requested by
+	// the hedged fan-out (Config.HedgedGets): replacements for failures
+	// and hedge-timer extras pop from here.
+	backlog []int
+}
+
+// chunkState is where one chunk of a stripeRead stands.
+type chunkState uint8
+
+const (
+	chunkIdle     chunkState = iota // not requested
+	chunkPlanned                    // to be requested by handleGet's issue loop
+	chunkInflight                   // requested, no answer yet
+	chunkRelayed                    // forwarded to the client
+	chunkFailed                     // timed out or failed a first checksum strike
+	chunkLost                       // confirmed lost (MISS, or second strike)
+)
 
 // setOp tracks one client chunk SET through its node store.
 type setOp struct {
@@ -209,47 +232,15 @@ type setOp struct {
 	hasSum    bool   // the frame carried a checksum arg
 }
 
-// rangeOp tracks one client ranged GET across its per-stripe chunk
-// fan-out: each planned chunk forwards straight to the client as it
-// lands; the op closes with a terminal frame once every fetch has
-// completed, or a transient verdict if any failed (the client retries
-// with a fresh plan — losses recorded here change the next plan).
-type rangeOp struct {
-	clientSeq uint64
-	key       string // parent object key (reply key)
-	size      int64  // total object size (terminal-frame answer)
-	remaining int    // chunk fetches outstanding
-	done      bool   // verdict or terminal already sent (or client left)
-	failed    bool   // a fetch missed/failed; answer transient at drain
-	seqs      []uint64
-}
-
-// rangeChunk carries one planned chunk's forwarding context: which
-// stripe entry it belongs to, where the stripe's data sits in the
-// object, and the stored checksum to verify the read-back against.
-type rangeChunk struct {
-	op        *rangeOp
-	stripeKey string // mapping-entry key (parent or stripe key)
-	idx       int    // shard index within the stripe
-	stripe    int
-	start     int64 // object offset of the stripe's data
-	slen      int64 // data bytes in the stripe
-	d, total  int
-	epoch     uint64
-	sum       int64
-	hasSum    bool
-	degraded  bool // part of a reconstruct-d fan-out, not an exact read
-}
-
 // pendingChunk links a node-request seq back to its op (exactly one of
-// get/set/rng is non-nil).
+// read/set is non-nil).
 type pendingChunk struct {
-	get   *getOp
-	set   *setOp
-	rng   *rangeChunk
-	idx   int  // chunk index within the get
-	node  int  // owning node manager, for cancellation
-	hedge bool // issued by the hedge timer (HedgeWins accounting)
+	read   *readOp
+	set    *setOp
+	stripe int  // index into read.stripes
+	idx    int  // chunk index within the stripe
+	node   int  // owning node manager, for cancellation
+	hedge  bool // issued by the hedge timer (HedgeWins accounting)
 }
 
 func (s *session) run() {
@@ -297,30 +288,31 @@ func (s *session) run() {
 	}
 }
 
-// armHedge schedules one hedge for op after the proxy's current hedge
-// delay; the session's single timer is armed for the queue head.
-func (s *session) armHedge(op *getOp) {
+// armHedge schedules one hedge for a stripe of op after the proxy's
+// current hedge delay; the session's single timer is armed for the
+// queue head.
+func (s *session) armHedge(op *readOp, stripe int) {
 	delay := s.p.hedgeDelay()
-	s.hedgeQ = append(s.hedgeQ, hedgeItem{op: op, at: s.p.cfg.Clock.Now().Add(delay)})
+	s.hedgeQ = append(s.hedgeQ, hedgeItem{op: op, stripe: stripe, at: s.p.cfg.Clock.Now().Add(delay)})
 	if s.hedgeC == nil {
 		s.hedgeC = s.p.cfg.Clock.After(delay)
 	}
 }
 
-// fireHedges pops every due hedge: a GET still short of d chunks gets
-// one extra backup chunk requested (and re-arms if backups remain),
-// then the timer is re-armed for the new head.
+// fireHedges pops every due hedge: a stripe still short of its chunks
+// gets one extra backup chunk requested (and re-arms if backups
+// remain), then the timer is re-armed for the new head.
 func (s *session) fireHedges() {
 	now := s.p.cfg.Clock.Now()
 	for len(s.hedgeQ) > 0 && !now.Before(s.hedgeQ[0].at) {
 		it := s.hedgeQ[0]
 		s.hedgeQ = s.hedgeQ[1:]
-		op := it.op
-		if op.done || op.remaining == 0 || len(op.backlog) == 0 {
+		st := &it.op.stripes[it.stripe]
+		if it.op.done || st.served || len(st.backlog) == 0 {
 			continue
 		}
-		if s.requestBackup(op, true) && len(op.backlog) > 0 {
-			s.armHedge(op)
+		if s.requestBackup(it.op, it.stripe, true) && len(st.backlog) > 0 {
+			s.armHedge(it.op, it.stripe)
 		}
 	}
 	if s.hedgeC == nil && len(s.hedgeQ) > 0 {
@@ -332,44 +324,67 @@ func (s *session) fireHedges() {
 	}
 }
 
-// requestBackup pops the next backlog chunk — preferring one whose
-// node's breaker admits traffic — and issues its node GET. It does not
-// block in reserveWindow (stalling a hedge on backpressure would defeat
-// it) but still honours the hard window bound: the completions channel
-// holds exactly sessionWindow replies, and an overdrafted reply would
-// be dropped by the dispatcher, wedging the session. Reports whether a
-// request was issued.
-func (s *session) requestBackup(op *getOp, hedge bool) bool {
-	if len(op.backlog) == 0 || s.outstanding >= sessionWindow {
+// requestBackup pops the stripe's next backlog chunk — preferring one
+// whose node's breaker admits traffic — and requests it. Reports
+// whether a request was issued.
+func (s *session) requestBackup(op *readOp, stripe int, hedge bool) bool {
+	st := &op.stripes[stripe]
+	if len(st.backlog) == 0 {
 		return false
 	}
 	pick := 0
-	for bi, ci := range op.backlog {
-		if s.p.nodes[op.chunks[ci].Node].allowRequest() {
+	for bi, ci := range st.backlog {
+		if s.p.nodes[st.chunks[ci].Node].allowRequest() {
 			pick = bi
 			break
 		}
 	}
-	idx := op.backlog[pick]
-	op.backlog = append(op.backlog[:pick], op.backlog[pick+1:]...)
-	node := op.chunks[idx].Node
-	seq := s.p.nextSeq()
-	s.outstanding++
-	op.requested++
-	op.remaining++
-	op.seqs = append(op.seqs, seq)
-	s.chunks[seq] = pendingChunk{get: op, idx: idx, node: node, hedge: hedge}
-	if !s.p.nodes[node].submit(protocol.TGet, seq, ChunkKey(op.key, idx), nil, s.completions) {
-		s.outstanding--
-		op.requested--
-		op.remaining--
-		delete(s.chunks, seq)
+	idx := st.backlog[pick]
+	if !s.requestChunk(op, stripe, idx, hedge) {
 		return false
 	}
-	s.p.stats.NodeChunkGets.Add(1)
+	st.backlog = append(st.backlog[:pick], st.backlog[pick+1:]...)
+	return true
+}
+
+// requestChunk issues one more chunk GET for a read already in flight
+// (a backup, a hedge, a stripe's fallback fan-out). It does not block
+// in reserveWindow (stalling a live read on backpressure would defeat
+// it) but still honours the hard window bound: the completions channel
+// holds exactly sessionWindow replies, and an overdrafted reply would
+// be dropped by the dispatcher, wedging the session. A chunk left
+// unrequested stays idle, which keeps the read's verdict transient.
+func (s *session) requestChunk(op *readOp, stripe, idx int, hedge bool) bool {
+	if s.outstanding >= sessionWindow {
+		return false
+	}
+	op.remaining++
+	if !s.issueChunk(op, stripe, idx, hedge) {
+		op.remaining--
+		return false
+	}
 	if hedge {
 		s.p.stats.HedgedGets.Add(1)
 	}
+	return true
+}
+
+// issueChunk submits one chunk GET of op (already counted in
+// op.remaining) to the chunk's node.
+func (s *session) issueChunk(op *readOp, stripe, idx int, hedge bool) bool {
+	st := &op.stripes[stripe]
+	node := st.chunks[idx].Node
+	seq := s.p.nextSeq()
+	s.outstanding++
+	s.chunks[seq] = pendingChunk{read: op, stripe: stripe, idx: idx, node: node, hedge: hedge}
+	if !s.p.nodes[node].submit(protocol.TGet, seq, ChunkKey(st.key, idx), nil, s.completions) {
+		s.outstanding--
+		delete(s.chunks, seq)
+		return false // shutting down
+	}
+	op.seqs = append(op.seqs, seq)
+	st.state[idx] = chunkInflight
+	s.p.stats.NodeChunkGets.Add(1)
 	return true
 }
 
@@ -493,16 +508,9 @@ func (s *session) handleCancel(m *protocol.Message) {
 		return // already completed, or never existed
 	}
 	s.p.stats.Cancels.Add(1)
-	if pc.get != nil {
-		pc.get.done = true // suppress DATA forwarding and the final verdict
-		for _, seq := range pc.get.seqs {
-			if ch, live := s.chunks[seq]; live {
-				s.p.nodes[ch.node].cancel(seq)
-			}
-		}
-	} else if pc.rng != nil {
-		pc.rng.op.done = true
-		for _, seq := range pc.rng.op.seqs {
+	if pc.read != nil {
+		pc.read.done = true // suppress DATA forwarding and the final verdict
+		for _, seq := range pc.read.seqs {
 			if ch, live := s.chunks[seq]; live {
 				s.p.nodes[ch.node].cancel(seq)
 			}
@@ -542,32 +550,19 @@ func (s *session) queueDels(dels []evictedChunk) {
 }
 
 // serveHot answers a GET entirely from the hot tier by replaying the
-// entry's precomputed wire image: the d DATA frames (index, size and
-// RS geometry included, so the client decode path is untouched) were
-// fully encoded at admission, and the hit is one SendPrebuilt — seq
-// stamped into the staged header bytes, payloads pinned as iovecs,
-// typically one writev and zero per-hit frame encoding. Small images
-// stage under the wake's pin and ride its flush instead. The image and
-// its chunk slices are immutable and GC-owned, so the replay needs no
-// tier lock and cannot race an invalidation. The mapping-table CLOCK
-// bit is still touched: a tier-served object must not look cold to
-// pool-level eviction.
+// entry's precomputed wire image: the DATA frames (index, size and
+// stripe geometry included, so the client fold is untouched) were fully
+// encoded at admission, and the hit is one SendPrebuilt — seq stamped
+// into the staged header bytes, payloads pinned as iovecs, typically
+// one writev and zero per-hit frame encoding. Small images stage under
+// the wake's pin and ride its flush instead. The image and its chunk
+// slices are immutable and GC-owned, so the replay needs no tier lock
+// and cannot race an invalidation. The mapping-table CLOCK bit is still
+// touched: a tier-served object must not look cold to pool-level
+// eviction.
 func (s *session) serveHot(seq uint64, key string, e *hotEntry) {
 	s.p.table.Touch(key)
-	if e.wire != nil {
-		s.conn.SendPrebuilt(e.wire, seq)
-	} else {
-		// Image construction failed at admission (wire-limit edge);
-		// fall back to per-chunk forwarding.
-		var args [5]int64
-		for i, chunk := range e.chunks {
-			if chunk == nil {
-				continue
-			}
-			args = [5]int64{int64(i), e.size, int64(e.d), int64(e.total), protocol.ChunkSum(key, i, chunk)}
-			s.conn.Forward(protocol.TData, seq, key, "", args[:], chunk)
-		}
-	}
+	s.conn.SendPrebuilt(e.wire, seq)
 	s.needFlush = true
 	s.p.stats.GetHits.Add(1)
 }
@@ -759,18 +754,24 @@ func (s *session) sendFallback(seq uint64, key string) bool {
 	return true
 }
 
-// handleGet implements the first-d parallel fan-out (§3.2): every
-// present chunk is requested at once — the dispatchers pipeline them
-// down the node connections — and the first d arrivals stream straight
-// to the client; stragglers are recycled as they trickle in.
+// handleGet serves every read — a whole object, a byte range, one key
+// of an MGet — through one plan: the requested span ([0, size) for a
+// whole object) is mapped onto per-stripe chunk fetches by
+// protocol.PlanRange, every chunk is requested at once (the dispatchers
+// pipeline them down the node connections), and chunks stream straight
+// to the client as they land; stragglers are recycled as they trickle
+// in. Whole-object reads try the hot tier first.
 func (s *session) handleGet(m *protocol.Message) {
 	s.p.stats.Gets.Add(1)
 	defer m.Free()
-	// Args[0] = 1 is the authoritative flag: the client was already
-	// redirected here by the key's new owner (fallback), so ownership is
-	// not re-checked and a miss is answered plainly.
-	authoritative := m.Arg(0) == 1
-	ranged := m.Arg(protocol.RangeArgFlag) == 1
+	// The authoritative flag: the client was already redirected here by
+	// the key's new owner (fallback), so ownership is not re-checked and
+	// a miss is answered plainly.
+	authoritative := m.Arg(protocol.GetArgAuthoritative) == 1
+	ranged := len(m.Args) > protocol.GetArgOff
+	if ranged {
+		s.p.stats.RangedGets.Add(1)
+	}
 	if !authoritative && !s.checkOwner(m.Seq, m.Key) {
 		return
 	}
@@ -801,145 +802,34 @@ func (s *session) handleGet(m *protocol.Message) {
 		s.conn.Send(&protocol.Message{Type: protocol.TMiss, Seq: m.Seq, Key: m.Key})
 		return
 	}
-	if ranged {
-		s.handleGetRange(m, meta)
-		return
-	}
-	if meta.StreamSize > 0 {
-		// A whole-object GET of a multi-stripe streamed object: redirect
-		// the client to the ranged path with the object's total size —
-		// materialising every stripe through the single-stripe fan-in
-		// would defeat the plane's memory bound.
-		s.needFlush = true
-		s.conn.Send(&protocol.Message{
-			Type: protocol.TErr, Seq: m.Seq, Key: m.Key,
-			Args:    []int64{protocol.StreamObjectFlag, meta.StreamSize},
-			Payload: []byte("proxy: streamed object; read it ranged"),
-		})
-		return
-	}
-	var present []int
-	for i, c := range meta.Chunks {
-		if c.Present {
-			present = append(present, i)
-		}
-	}
-	d := meta.DataShards
-	if len(present) < d {
-		if meta.Lost == 0 {
-			// A half-ingested migration entry: the previous owner still
-			// holds a complete copy (drop-after-ack), so redirect there
-			// rather than have the client burn its retry budget on
-			// busy-write while the ingest waits out node cold starts.
-			if meta.Migrating && !authoritative && s.sendFallback(m.Seq, m.Key) {
-				return
-			}
-			// No chunk was ever positively lost: the object is simply
-			// mid-write (a fresh generation's chunks have not all
-			// committed). Not a loss — tell the client to retry; the
-			// next attempt reads the committed generation.
-			s.sendTransient(m.Seq, m.Key, protocol.TransientBusyWrite)
-			return
-		}
-		// More than p chunks already lost: the object is gone.
-		s.objectLost(m.Seq, m.Key, meta.Epoch)
-		return
-	}
-	want := present
-	var backlog []int
-	if s.p.cfg.HedgedGets && len(present) > d {
-		// Hedged fan-out: request exactly d chunks up front, preferring
-		// nodes whose breaker is closed; the remainder become backups
-		// that miss-replacement and the hedge timer pop from.
-		healthy := make([]int, 0, len(present))
-		var open []int
-		for _, i := range present {
-			if s.p.nodes[meta.Chunks[i].Node].allowRequest() {
-				healthy = append(healthy, i)
-			} else {
-				open = append(open, i)
-			}
-		}
-		ordered := append(healthy, open...)
-		want = ordered[:d]
-		backlog = ordered[d:]
-	}
-	if !s.reserveWindow(len(want)) {
-		return
-	}
-	op := &getOp{
-		clientSeq: m.Seq, key: m.Key, size: meta.Size,
-		d: d, total: meta.TotalShards, epoch: meta.Epoch,
-		chunks: meta.Chunks, backlog: backlog,
-		seqs: make([]uint64, 0, len(want)),
-	}
-	if hotCapture && meta.Size <= s.p.hot.maxObj {
-		// Ghost-warm key: read-admit by copying the first-d payloads as
-		// they stream through (whatever d chunks win the fan-in race).
-		op.capture = make([][]byte, meta.TotalShards)
-		op.hotToken = hotToken
-	}
-	s.byClient[m.Seq] = pendingChunk{get: op}
-	for _, i := range want {
-		seq := s.p.nextSeq()
-		s.outstanding++
-		op.requested++
-		op.remaining++
-		op.seqs = append(op.seqs, seq)
-		s.chunks[seq] = pendingChunk{get: op, idx: i, node: meta.Chunks[i].Node}
-		if !s.p.nodes[meta.Chunks[i].Node].submit(protocol.TGet, seq, ChunkKey(m.Key, i), nil, s.completions) {
-			s.outstanding--
-			op.requested--
-			op.remaining--
-			delete(s.chunks, seq)
-			if op.remaining == 0 {
-				delete(s.byClient, m.Seq)
-			}
-			return // shutting down
-		}
-		s.p.stats.NodeChunkGets.Add(1)
-	}
-	if len(op.backlog) > 0 && op.remaining > 0 {
-		s.armHedge(op)
-	}
-}
-
-// handleGetRange serves a ranged GET: the byte range is planned onto
-// exactly the data chunks it intersects (per stripe, never parity,
-// never a full-d fan-out for a sub-stripe read) and each chunk streams
-// to the client as it lands, tagged with its stripe geometry; a
-// terminal frame (chunk index -1) closes the reply. A stripe whose
-// exact chunks are unavailable but which still has d present chunks is
-// served degraded — d present chunks, flagged, for the client to
-// reconstruct. meta is the parent key's entry, already looked up.
-func (s *session) handleGetRange(m *protocol.Message, meta objMeta) {
-	s.p.stats.RangedGets.Add(1)
-	off, n := m.Arg(protocol.RangeArgOff), m.Arg(protocol.RangeArgLen)
-	// A legacy (or single-stripe streamed) object is one stripe whose
-	// data bytes are the whole object.
+	// An object without stream geometry is one stripe of its own size.
 	size, stripeData := meta.Size, meta.Size
 	if meta.StreamSize > 0 {
 		size, stripeData = meta.StreamSize, meta.StripeData
 	}
+	off, n := int64(0), size
+	if ranged {
+		off, n = m.Arg(protocol.GetArgOff), m.Arg(protocol.GetArgLen)
+	}
 	spans := protocol.PlanRange(size, stripeData, meta.DataShards, off, n)
 	if len(spans) == 0 {
-		// Empty or fully past-EOF request: the terminal frame alone,
-		// which also tells the client the object's true size.
-		s.sendRangeTerminal(m.Seq, m.Key, size)
+		// Empty or past-EOF range: one payload-less frame, which also
+		// tells the client the object's true size.
+		s.needFlush = true
+		var args [protocol.DataArgs]int64
+		args[protocol.DataArgIdx] = -1
+		args[protocol.DataArgSize] = size
+		s.conn.Forward(protocol.TData, m.Seq, m.Key, "", args[:], nil)
 		return
 	}
-	type fetch struct {
-		rc       rangeChunk
-		node     int
-		chunkKey string
+	op := &readOp{
+		clientSeq: m.Seq, key: m.Key, size: size,
+		stripes: make([]stripeRead, len(spans)), unserved: len(spans),
 	}
-	var fetches []fetch
-	degradedAny := false
-	for _, sp := range spans {
+	for i, sp := range spans {
 		smeta, skey := meta, m.Key
 		if sp.Stripe > 0 {
 			skey = protocol.StripeKey(m.Key, sp.Stripe)
-			var ok bool
 			if smeta, ok = s.p.table.Lookup(skey); !ok {
 				// Head present but this stripe's entry missing: the
 				// streamed write (or a stripe retry) is still in flight —
@@ -949,179 +839,297 @@ func (s *session) handleGetRange(m *protocol.Message, meta objMeta) {
 				return
 			}
 		}
-		need := sp.Shards
-		degraded := false
-		for _, i := range need {
-			if i >= len(smeta.Chunks) || !smeta.Chunks[i].Present {
-				degraded = true
-				break
-			}
+		st := &op.stripes[i]
+		*st = stripeRead{
+			key: skey, index: sp.Stripe, start: sp.Start, slen: sp.Len,
+			d: smeta.DataShards, total: smeta.TotalShards, epoch: smeta.Epoch,
+			chunks: smeta.Chunks, state: make([]chunkState, len(smeta.Chunks)),
+			first: sp.Shards[0], last: sp.Shards[len(sp.Shards)-1],
+			fanout: sp.Whole(smeta.DataShards),
 		}
-		if degraded {
-			var present []int
-			for i, c := range smeta.Chunks {
-				if c.Present {
-					present = append(present, i)
-				}
-			}
-			if len(present) < smeta.DataShards {
-				if smeta.Lost == 0 {
-					s.sendTransient(m.Seq, m.Key, protocol.TransientBusyWrite)
-					return
-				}
-				// Confirmed losses exceed parity on this stripe: the whole
-				// streamed object is gone (the drop cascades).
-				s.rangeObjectLost(m.Seq, m.Key, skey, smeta.Epoch)
-				return
-			}
-			need = present[:smeta.DataShards]
-			degradedAny = true
-		}
-		for _, i := range need {
-			c := smeta.Chunks[i]
-			fetches = append(fetches, fetch{
-				rc: rangeChunk{
-					stripeKey: skey, idx: i, stripe: sp.Stripe,
-					start: sp.Start, slen: sp.Len,
-					d: smeta.DataShards, total: smeta.TotalShards,
-					epoch: smeta.Epoch, sum: c.Sum, hasSum: c.HasSum,
-					degraded: degraded,
-				},
-				node:     c.Node,
-				chunkKey: ChunkKey(skey, i),
-			})
+		if !s.planStripe(op, st, smeta, authoritative) {
+			return
 		}
 	}
-	if degradedAny {
-		s.p.stats.DegradedGets.Add(1)
+	if hotCapture && meta.StreamSize == 0 && meta.Size <= s.p.hot.maxObj {
+		// Ghost-warm key: read-admit by copying the payloads as they
+		// stream through (whatever d chunks win the fan-in race).
+		op.capture = make([][]byte, meta.TotalShards)
+		op.hotToken = hotToken
 	}
-	if !s.reserveWindow(len(fetches)) {
-		return
-	}
-	op := &rangeOp{clientSeq: m.Seq, key: m.Key, size: size}
-	s.byClient[m.Seq] = pendingChunk{rng: &rangeChunk{op: op}}
-	for i := range fetches {
-		f := &fetches[i]
-		f.rc.op = op
-		seq := s.p.nextSeq()
-		s.outstanding++
-		op.remaining++
-		op.seqs = append(op.seqs, seq)
-		rc := f.rc
-		s.chunks[seq] = pendingChunk{rng: &rc, node: f.node}
-		if !s.p.nodes[f.node].submit(protocol.TGet, seq, f.chunkKey, nil, s.completions) {
-			s.outstanding--
-			op.remaining--
-			delete(s.chunks, seq)
-			if op.remaining == 0 {
-				delete(s.byClient, m.Seq)
+	op.seqs = make([]uint64, 0, op.remaining)
+	s.byClient[m.Seq] = pendingChunk{read: op}
+	for si := range op.stripes {
+		for idx, cs := range op.stripes[si].state {
+			if cs != chunkPlanned {
+				continue
 			}
-			return // shutting down
+			if !s.reserveWindow(1) || !s.issueChunk(op, si, idx, false) {
+				return // shutting down
+			}
 		}
-		s.p.stats.NodeChunkGets.Add(1)
+		if len(op.stripes[si].backlog) > 0 {
+			s.armHedge(op, si)
+		}
 	}
 }
 
-// completeRange advances a ranged GET on one finished chunk fetch.
-// Unlike the whole-object fan-in there is no first-d race: every
-// planned chunk must land, so any miss or failure fails the whole op
-// with a transient (the loss is recorded; the client's retry plans
-// around it, degrading the stripe or drawing the loss verdict).
-func (s *session) completeRange(pc pendingChunk, resp *protocol.Message) {
-	rc := pc.rng
-	op := rc.op
+// planStripe marks the chunks a stripe requests up front (state
+// chunkPlanned, counted in op.remaining): the planned data shards of a
+// sub-stripe span, or a whole-stripe fan-out over every present chunk —
+// d healthy-first ones plus a backlog under Config.HedgedGets. A
+// sub-stripe span whose planned shards are not all present starts in
+// the fan-out. A stripe that cannot produce d chunks is answered here
+// (busy-write, migration fallback or loss) and planStripe returns
+// false.
+func (s *session) planStripe(op *readOp, st *stripeRead, meta objMeta, authoritative bool) bool {
+	if !st.fanout {
+		exact := true
+		for i := st.first; i <= st.last && exact; i++ {
+			exact = i < len(st.chunks) && st.chunks[i].Present
+		}
+		if exact {
+			for i := st.first; i <= st.last; i++ {
+				st.state[i] = chunkPlanned
+			}
+			op.remaining += st.last - st.first + 1
+			return true
+		}
+		st.fanout, op.degraded = true, true
+	}
+	present := 0
+	for _, c := range st.chunks {
+		if c.Present {
+			present++
+		}
+	}
+	if present < st.d {
+		if meta.Lost == 0 {
+			// A half-ingested migration entry: the previous owner still
+			// holds a complete copy (drop-after-ack), so redirect there
+			// rather than have the client burn its retry budget on
+			// busy-write while the ingest waits out node cold starts.
+			if meta.Migrating && !authoritative && s.sendFallback(op.clientSeq, op.key) {
+				return false
+			}
+			// No chunk was ever positively lost: the object is simply
+			// mid-write (a fresh generation's chunks have not all
+			// committed). Not a loss — tell the client to retry; the
+			// next attempt reads the committed generation.
+			s.sendTransient(op.clientSeq, op.key, protocol.TransientBusyWrite)
+			return false
+		}
+		// More than p chunks already lost: the object is gone.
+		s.objectLost(op.clientSeq, op.key, st.key, st.epoch)
+		return false
+	}
+	want := present
+	if s.p.cfg.HedgedGets && present > st.d {
+		// Hedged fan-out: request exactly d chunks up front, preferring
+		// nodes whose breaker is closed; the remainder become backups
+		// that failure replacement and the hedge timer pop from.
+		want = st.d
+		var open []int
+		for i, c := range st.chunks {
+			if !c.Present {
+				continue
+			}
+			if s.p.nodes[c.Node].allowRequest() {
+				st.backlog = append(st.backlog, i)
+			} else {
+				open = append(open, i)
+			}
+		}
+		st.backlog = append(st.backlog, open...)
+		for _, i := range st.backlog[:st.d] {
+			st.state[i] = chunkPlanned
+		}
+		st.backlog = st.backlog[st.d:]
+	} else {
+		for i, c := range st.chunks {
+			if c.Present {
+				st.state[i] = chunkPlanned
+			}
+		}
+	}
+	op.remaining += want
+	return true
+}
+
+// completeRead advances a read on one finished chunk GET. Every
+// read-back is verified against its stored checksum, straggler or not,
+// so a corrupt chunk takes its strike whether or not it won the fan-in
+// race. A failed chunk of an unserved stripe sends the stripe to its
+// fallback fan-out (or, already fanned out, pops a hedged backup) —
+// except a planned shard's first checksum strike, which re-reads that
+// shard once, so the strike ladder plays out inside one request.
+func (s *session) completeRead(pc pendingChunk, resp *protocol.Message) {
+	op, st, idx := pc.read, &pc.read.stripes[pc.stripe], pc.idx
 	op.remaining--
 	if op.remaining == 0 {
 		delete(s.byClient, op.clientSeq)
 	}
+	live := !op.done && !st.served
+	failed, refetch := true, false
 	switch {
 	case resp != nil && resp.Type == protocol.TData:
-		if !op.done && rc.hasSum && protocol.ChunkSum(rc.stripeKey, rc.idx, resp.Payload) != rc.sum {
-			// Corrupt read-back: same strike ladder as the whole-object
-			// path — first strike is transit damage (the retry refetches),
-			// the second escalates to a positive loss so the retry plans a
-			// degraded stripe around it.
+		if c := st.chunks[idx]; c.HasSum && protocol.ChunkSum(st.key, idx, resp.Payload) != c.Sum {
+			// The node returned bytes that do not match the checksum the
+			// writing SET carried: corruption on the node→proxy hop or in
+			// storage. Never forward it. One strike reads as transit
+			// damage, so a sub-stripe span re-reads the chunk once; a
+			// second strike marks the stored chunk positively lost,
+			// turning corruption into an erasure the client repairs
+			// through reconstruction.
 			s.p.stats.ChecksumFailures.Add(1)
-			if s.p.table.NoteChunkCorrupt(rc.stripeKey, rc.idx, rc.epoch) {
+			st.state[idx] = chunkFailed
+			if s.p.table.NoteChunkCorrupt(st.key, idx, st.epoch) {
 				s.p.stats.CorruptLost.Add(1)
+				st.state[idx] = chunkLost
+			} else {
+				refetch = !st.fanout && !st.refetched
 			}
-			op.failed = true
-		} else if !op.done && !op.failed {
-			var args [9]int64
-			args[protocol.RangeDataArgIdx] = int64(rc.idx)
-			args[protocol.RangeDataArgSize] = op.size
-			args[protocol.RangeDataArgShards] = int64(rc.d)
-			args[protocol.RangeDataArgTotal] = int64(rc.total)
-			args[protocol.RangeDataArgStripe] = int64(rc.stripe)
-			args[protocol.RangeDataArgStripeStart] = rc.start
-			args[protocol.RangeDataArgStripeLen] = rc.slen
-			var flags int64
-			if rc.degraded {
-				flags |= protocol.RangeFlagDegraded
+		} else {
+			failed = false
+			if live {
+				s.relay(op, st, idx, resp.Payload, pc.hedge)
 			}
-			if rc.hasSum {
-				args[protocol.RangeDataArgSum] = rc.sum
-				flags |= protocol.RangeFlagHasSum
-			}
-			args[protocol.RangeDataArgFlags] = flags
-			s.conn.Forward(protocol.TData, op.clientSeq, op.key, "", args[:], resp.Payload)
 		}
+		// Relayed or a straggler: either way the payload's journey ends
+		// at this hop.
 		resp.Free()
 	case resp != nil && resp.Type == protocol.TMiss:
 		if !op.done {
+			// The node definitively lost this chunk (reclaimed
+			// instance): record it in the mapping table. Epoch-guarded —
+			// if an overwrite replaced the entry mid-read, this MISS is
+			// about the old generation's chunk and must not taint the
+			// new one.
 			s.p.stats.ChunkMisses.Add(1)
-			s.p.table.MarkChunkLost(rc.stripeKey, rc.idx, rc.epoch)
-			op.failed = true
+			s.p.table.MarkChunkLost(st.key, idx, st.epoch)
+			st.state[idx] = chunkLost
 		}
 		resp.Free()
 	default:
-		// Transient failure (timeout, mid-backup swap): not a loss.
-		if !op.done {
-			op.failed = true
-		}
+		// Transient failure (timeout, mid-backup swap): the chunk may
+		// still exist; do not mark it lost.
+		st.state[idx] = chunkFailed
 		if resp != nil {
 			resp.Free()
+		}
+	}
+	if live && failed {
+		op.degraded = true
+		if refetch && s.requestChunk(op, pc.stripe, idx, false) {
+			st.refetched = true
+		} else {
+			s.stripeFailed(op, pc.stripe)
 		}
 	}
 	if op.done || op.remaining > 0 {
 		return
 	}
+	// Every fetch completed and some stripe is still short of chunks.
 	op.done = true
-	if op.failed {
-		s.sendTransient(op.clientSeq, op.key, protocol.TransientNodeFailure)
-		return
+	for i := range op.stripes {
+		st := &op.stripes[i]
+		if st.served {
+			continue
+		}
+		alive := 0
+		for j, c := range st.chunks {
+			if c.Present && st.state[j] != chunkLost {
+				alive++
+			}
+		}
+		if alive < st.d {
+			// Confirmed losses alone exceed parity: the object is gone.
+			s.objectLost(op.clientSeq, op.key, st.key, st.epoch)
+			return
+		}
 	}
-	s.p.stats.GetHits.Add(1)
-	s.sendRangeTerminal(op.clientSeq, op.key, op.size)
+	// Not enough chunks arrived but the object may survive: tell the
+	// client to retry rather than declaring a loss.
+	s.sendTransient(op.clientSeq, op.key, protocol.TransientNodeFailure)
 }
 
-// sendRangeTerminal closes a ranged reply: chunk index -1, no payload,
-// the object's total size in the size slot. Sent strictly after every
-// data frame (the client conn is FIFO), it doubles as the whole answer
-// for an empty or past-EOF range.
-func (s *session) sendRangeTerminal(seq uint64, key string, size int64) {
-	s.needFlush = true
-	var args [9]int64
-	args[protocol.RangeDataArgIdx] = -1
-	args[protocol.RangeDataArgSize] = size
-	s.conn.Forward(protocol.TData, seq, key, "", args[:], nil)
-}
-
-// rangeObjectLost is objectLost for a stripe entry: the drop (and its
-// cascade across the stripe family) is keyed by the stripe's entry,
-// the loss verdict by the parent key the client asked about.
-func (s *session) rangeObjectLost(seq uint64, replyKey, entryKey string, epoch uint64) {
-	dels, ok := s.p.table.DropIfEpoch(entryKey, epoch)
-	if !ok {
-		s.sendTransient(seq, replyKey, protocol.TransientBusyWrite)
+// stripeFailed reacts to a failed chunk of an unserved stripe: a
+// sub-stripe span falls back to the whole-stripe fan-out over every
+// present chunk it has neither relayed, nor in flight, nor seen lost;
+// a stripe already fanned out pops a hedged backup, if it has one.
+func (s *session) stripeFailed(op *readOp, stripe int) {
+	st := &op.stripes[stripe]
+	if st.fanout {
+		s.requestBackup(op, stripe, false)
 		return
 	}
-	s.p.stats.ObjectLosses.Add(1)
-	s.queueDels(dels)
-	s.needFlush = true
-	s.conn.Send(&protocol.Message{
-		Type: protocol.TMiss, Seq: seq, Key: replyKey, Args: []int64{1}, // 1 = loss, not cold miss
-	})
+	st.fanout = true
+	for i, c := range st.chunks {
+		if c.Present && (st.state[i] == chunkIdle || st.state[i] == chunkFailed) {
+			s.requestChunk(op, stripe, i, false)
+		}
+	}
+}
+
+// relay forwards one verified chunk to the client under the
+// stripe-tagged DATA layout and closes the stripe — and, with the last
+// stripe, the read — once the client holds every planned shard or d
+// distinct chunks. Zero-rewrap: the node frame's pooled payload goes
+// out under a rewritten header, then straight back to the pool — no
+// copy, no fresh Message.
+func (s *session) relay(op *readOp, st *stripeRead, idx int, payload []byte, hedge bool) {
+	st.state[idx] = chunkRelayed
+	st.relayed++
+	if idx >= st.first && idx <= st.last {
+		st.planned++
+	}
+	if st.planned > st.last-st.first || st.relayed >= st.d {
+		st.served = true
+		op.unserved--
+	}
+	if op.unserved == 0 {
+		// This frame serves the last stripe: it is what unblocks the
+		// client, so the read's outcome (and every counter) is recorded
+		// before it leaves.
+		op.done = true
+		s.needFlush = true
+		s.p.stats.GetHits.Add(1)
+		if op.degraded {
+			s.p.stats.DegradedGets.Add(1)
+		}
+	}
+	if hedge {
+		s.p.stats.HedgeWins.Add(1)
+	}
+	args := dataArgs(op.size, st.index, st.start, st.slen, st.d, st.total, idx, st.chunks[idx])
+	s.conn.Forward(protocol.TData, op.clientSeq, op.key, "", args[:], payload)
+	if op.capture != nil {
+		// Read-through admission copy; GC-owned, never pooled.
+		op.capture[idx] = append([]byte(nil), payload...)
+		if op.done {
+			s.p.hot.insert(op.key, op.size, st.d, st.total, op.capture, op.hotToken)
+			op.capture = nil
+		}
+	}
+}
+
+// dataArgs lays out one DATA frame's args (protocol.DataArg*) for chunk
+// idx of the stripe [start, start+slen) of an object of size bytes.
+func dataArgs(size int64, stripe int, start, slen int64, d, total, idx int, c chunkLoc) [protocol.DataArgs]int64 {
+	sum := int64(-1)
+	if c.HasSum {
+		sum = c.Sum
+	}
+	return [protocol.DataArgs]int64{
+		protocol.DataArgIdx:         int64(idx),
+		protocol.DataArgSize:        size,
+		protocol.DataArgShards:      int64(d),
+		protocol.DataArgTotal:       int64(total),
+		protocol.DataArgSum:         sum,
+		protocol.DataArgStripe:      int64(stripe),
+		protocol.DataArgStripeStart: start,
+		protocol.DataArgStripeLen:   slen,
+	}
 }
 
 // markGenFailed records that one of a generation's chunks did not
@@ -1182,13 +1190,10 @@ func (s *session) complete(r nodeReply) {
 	}
 	delete(s.chunks, r.Seq)
 	s.outstanding--
-	switch {
-	case pc.set != nil:
+	if pc.set != nil {
 		s.completeSet(pc.set, r.Msg)
-	case pc.rng != nil:
-		s.completeRange(pc, r.Msg)
-	default:
-		s.completeGet(pc, r.Msg)
+	} else {
+		s.completeRead(pc, r.Msg)
 	}
 }
 
@@ -1269,7 +1274,15 @@ func (s *session) completeSet(op *setOp, resp *protocol.Message) {
 	} else {
 		s.p.table.ReleaseChunk(op.node, op.size)
 		s.markGenFailed(gk, gs)
-		s.sendErr(op.clientSeq, op.key, "proxy: chunk store failed")
+		if resp == nil {
+			// The node never answered within the dispatcher's retry
+			// budget (timeouts, re-invokes): a transient failure, as on
+			// the read path — the writer retries the generation with a
+			// fresh placement.
+			s.sendTransient(op.clientSeq, op.key, protocol.TransientNodeFailure)
+		} else {
+			s.sendErr(op.clientSeq, op.key, "proxy: chunk store failed")
+		}
 	}
 	if resp != nil {
 		resp.Free()
@@ -1280,113 +1293,6 @@ func (s *session) completeSet(op *setOp, resp *protocol.Message) {
 	if last {
 		s.finishGen(gk, gs)
 	}
-}
-
-func (s *session) completeGet(pc pendingChunk, resp *protocol.Message) {
-	op, idx := pc.get, pc.idx
-	op.remaining--
-	if op.remaining == 0 {
-		delete(s.byClient, op.clientSeq)
-	}
-	switch {
-	case resp != nil && resp.Type == protocol.TData:
-		if c := op.chunks[idx]; !op.done && c.HasSum && protocol.ChunkSum(op.key, idx, resp.Payload) != c.Sum {
-			// The node returned bytes that do not match the checksum the
-			// writing SET carried: corruption on the node→proxy hop or in
-			// storage. Never forward it. One strike reads as transit
-			// damage (the retry refetches cleanly); a second marks the
-			// stored chunk positively lost, turning corruption into an
-			// erasure the client repairs through reconstruction.
-			s.p.stats.ChecksumFailures.Add(1)
-			if s.p.table.NoteChunkCorrupt(op.key, idx, op.epoch) {
-				s.p.stats.CorruptLost.Add(1)
-				op.missed++
-			} else {
-				op.failed++
-			}
-			s.requestBackup(op, false)
-			resp.Free()
-			break
-		}
-		if !op.done {
-			// Zero-rewrap relay: the node frame's pooled payload goes
-			// out under a rewritten header, then straight back to the
-			// pool — no copy, no fresh Message.
-			args := [5]int64{int64(idx), op.size, int64(op.d), int64(op.total)}
-			n := 4
-			if c := op.chunks[idx]; c.HasSum {
-				args[4], n = c.Sum, 5
-			}
-			s.conn.Forward(protocol.TData, op.clientSeq, op.key, "", args[:n],
-				resp.Payload)
-			if pc.hedge {
-				s.p.stats.HedgeWins.Add(1)
-			}
-			if op.capture != nil {
-				// Read-through admission copy; GC-owned, never pooled.
-				op.capture[idx] = append([]byte(nil), resp.Payload...)
-			}
-			op.forwarded++
-			if op.forwarded >= op.d {
-				// The d-th DATA frame is what unblocks the client.
-				op.done = true
-				s.needFlush = true
-				s.p.stats.GetHits.Add(1)
-				if op.missed+op.failed > 0 {
-					s.p.stats.DegradedGets.Add(1)
-				}
-				if op.capture != nil {
-					s.p.hot.insert(op.key, op.size, op.d, op.total, op.capture, op.hotToken)
-					op.capture = nil
-				}
-			}
-		}
-		// First-d already served → this is a straggler; either way the
-		// payload's journey ends at this hop.
-		resp.Free()
-	case resp != nil && resp.Type == protocol.TMiss:
-		if !op.done {
-			// The node definitively lost this chunk (reclaimed
-			// instance): record it in the mapping table. Epoch-guarded —
-			// if an overwrite replaced the entry mid-fan-out, this MISS
-			// is about the old generation's chunk and must not taint the
-			// new one.
-			s.p.stats.ChunkMisses.Add(1)
-			s.p.table.MarkChunkLost(op.key, idx, op.epoch)
-			op.missed++
-			s.requestBackup(op, false)
-		}
-		resp.Free()
-	default:
-		// Transient failure (timeout, mid-backup swap): the chunk
-		// may still exist; do not mark it lost.
-		if !op.done {
-			op.failed++
-			s.requestBackup(op, false)
-		}
-		if resp != nil {
-			resp.Free()
-		}
-	}
-	if op.done || op.remaining > 0 {
-		return
-	}
-	// Fan-out exhausted without d chunks.
-	op.done = true
-	if len(op.backlog) > 0 {
-		// Hedged fan-out still has untried chunks it could not issue
-		// (window cap): no loss verdict can be drawn — retry.
-		s.sendTransient(op.clientSeq, op.key, protocol.TransientNodeFailure)
-		return
-	}
-	if op.requested-op.missed < op.d {
-		// Confirmed losses alone exceed parity: the object is gone.
-		s.objectLost(op.clientSeq, op.key, op.epoch)
-		return
-	}
-	// Not enough chunks arrived but the object may survive: tell the
-	// client to retry rather than declaring a loss.
-	s.sendTransient(op.clientSeq, op.key, protocol.TransientNodeFailure)
 }
 
 // sendTransient tells the client to retry: the object is not (known)
@@ -1404,26 +1310,28 @@ func (s *session) sendTransient(seq uint64, key string, reason int64) {
 	})
 }
 
-// objectLost reports an unavailable object: > p chunks lost. The client
-// will RESET it (fetch from the backing store and re-insert, §5.2).
-// Epoch-guarded: if a concurrent overwrite already replaced the entry
-// this GET read, nothing is dropped — the loss verdict belongs to the
-// superseded incarnation, so the client is told to retry (and will read
-// the new generation) instead of resetting an object that just got
-// rewritten.
-func (s *session) objectLost(seq uint64, key string, epoch uint64) {
-	dels, ok := s.p.table.DropIfEpoch(key, epoch)
+// objectLost reports an unavailable object: a stripe lost more than p
+// chunks. The drop (and its cascade across the stripe family) is keyed
+// by the stripe's entry, the loss verdict by the parent key the client
+// asked about; the client will RESET the object (fetch from the backing
+// store and re-insert, §5.2). Epoch-guarded: if a concurrent overwrite
+// already replaced the entry this GET read, nothing is dropped — the
+// loss verdict belongs to the superseded incarnation, so the client is
+// told to retry (and will read the new generation) instead of resetting
+// an object that just got rewritten.
+func (s *session) objectLost(seq uint64, replyKey, entryKey string, epoch uint64) {
+	dels, ok := s.p.table.DropIfEpoch(entryKey, epoch)
 	if !ok {
 		// The entry was replaced mid-GET: an overwrite is in flight and
 		// the next attempt reads the new generation once it commits.
-		s.sendTransient(seq, key, protocol.TransientBusyWrite)
+		s.sendTransient(seq, replyKey, protocol.TransientBusyWrite)
 		return
 	}
 	s.p.stats.ObjectLosses.Add(1)
 	s.queueDels(dels)
 	s.needFlush = true
 	s.conn.Send(&protocol.Message{
-		Type: protocol.TMiss, Seq: seq, Key: key, Args: []int64{1}, // 1 = loss, not cold miss
+		Type: protocol.TMiss, Seq: seq, Key: replyKey, Args: []int64{1}, // 1 = loss, not cold miss
 	})
 }
 

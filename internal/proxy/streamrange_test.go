@@ -275,3 +275,137 @@ func TestGetRangeCorruptChunkEscalates(t *testing.T) {
 		t.Fatalf("follow-up range after escalation: %v", err)
 	}
 }
+
+// drop deletes one stored chunk so its node answers MISS, reporting
+// whether the chunk was resident.
+func (rp *rangePool) drop(chunkKey string) bool {
+	rp.mu.Lock()
+	defer rp.mu.Unlock()
+	_, ok := rp.store[chunkKey]
+	delete(rp.store, chunkKey)
+	return ok
+}
+
+// TestGetObjectStreamedOneRequest pins the one read path for whole
+// reads of streamed objects: a 3-stripe object is one GET at the proxy
+// (no redirect, no second ranged request) and streams back byte-exactly
+// through the zero-copy handle.
+func TestGetObjectStreamedOneRequest(t *testing.T) {
+	const (
+		stripeShard = int64(32 << 10)
+		d           = 10
+		objSize     = 2*stripeShard*d + 12345 // three stripes, the last partial
+	)
+	p, c, _ := streamStack(t, stripeShard)
+	ctx := context.Background()
+	val := rangePattern(objSize)
+	if err := c.PutReader(ctx, "whole", objSize, bytes.NewReader(val)); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(protocol.PlanRange(objSize, stripeShard*d, d, 0, objSize)); n != 3 {
+		t.Fatalf("object spans %d stripes, want 3 (test geometry drifted)", n)
+	}
+
+	before := p.Stats().Gets.Load()
+	obj, err := c.GetObject(ctx, "whole")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer obj.Release()
+	if moved := p.Stats().Gets.Load() - before; moved != 1 {
+		t.Fatalf("GetObject cost %d proxy GETs, want exactly 1", moved)
+	}
+	var buf bytes.Buffer
+	if n, err := obj.WriteTo(&buf); err != nil || n != objSize {
+		t.Fatalf("WriteTo = (%d, %v), want (%d, nil)", n, err, objSize)
+	}
+	if !bytes.Equal(buf.Bytes(), val) {
+		t.Fatal("GetObject of a streamed object is not byte-exact")
+	}
+}
+
+// TestGetRangeMissFallsBackInRequest pins the in-request stripe
+// fallback: when a sub-stripe range's planned shard answers MISS, the
+// proxy fans the stripe out within the same request — one GET, served,
+// with the client reconstructing the stripe.
+func TestGetRangeMissFallsBackInRequest(t *testing.T) {
+	const (
+		stripeShard = int64(64 << 10)
+		d           = 10
+		stripeData  = stripeShard * d
+		objSize     = 3 * stripeData
+	)
+	p, c, pool := streamStack(t, stripeShard)
+	ctx := context.Background()
+	val := rangePattern(objSize)
+	if err := c.PutReader(ctx, "holey", objSize, bytes.NewReader(val)); err != nil {
+		t.Fatal(err)
+	}
+
+	off, n := stripeData+3*stripeShard+100, int64(1000)
+	plan := protocol.PlanRange(objSize, stripeData, d, off, n)
+	if len(plan) != 1 || len(plan[0].Shards) != 1 {
+		t.Fatalf("plan %+v, want one shard of one stripe (test geometry drifted)", plan)
+	}
+	if !pool.drop(ChunkKey(protocol.StripeKey("holey", plan[0].Stripe), plan[0].Shards[0])) {
+		t.Fatal("planned chunk not resident in the fake pool")
+	}
+
+	before := p.Stats().Gets.Load()
+	got, err := c.GetRange(ctx, "holey", off, n)
+	if err != nil {
+		t.Fatalf("GetRange over a missing chunk: %v", err)
+	}
+	if !bytes.Equal(got, val[off:off+n]) {
+		t.Fatal("reconstructed range is not byte-exact")
+	}
+	if moved := p.Stats().Gets.Load() - before; moved != 1 {
+		t.Fatalf("GetRange cost %d proxy GETs, want exactly 1 (the fallback is in-request)", moved)
+	}
+	if p.Stats().DegradedGets.Load() == 0 {
+		t.Fatal("the missing chunk never counted a degraded read")
+	}
+}
+
+// TestMGetMixedStripesOneRequestPerKey pins MGet on the one read path: a
+// batch mixing PutCtx objects and multi-stripe streamed objects is
+// served inside the burst — one proxy GET per key, every object
+// byte-exact.
+func TestMGetMixedStripesOneRequestPerKey(t *testing.T) {
+	const stripeShard = int64(16 << 10)
+	p, c, _ := streamStack(t, stripeShard)
+	ctx := context.Background()
+	vals := map[string][]byte{}
+	var keys []string
+	for i, size := range []int64{5000, 4*stripeShard*10 + 77, 100_000, 2 * stripeShard * 10} {
+		key := fmt.Sprintf("mixed-%d", i)
+		val := rangePattern(size)
+		var err error
+		if i%2 == 0 {
+			err = c.PutCtx(ctx, key, val)
+		} else {
+			err = c.PutReader(ctx, key, size, bytes.NewReader(val))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals[key] = val
+		keys = append(keys, key)
+	}
+
+	before := p.Stats().Gets.Load()
+	res := c.MGet(ctx, keys...)
+	if moved := p.Stats().Gets.Load() - before; moved != int64(len(keys)) {
+		t.Fatalf("MGet of %d keys cost %d proxy GETs, want one per key", len(keys), moved)
+	}
+	for _, r := range res {
+		if r.Err != nil {
+			t.Fatalf("MGet %s: %v", r.Key, r.Err)
+		}
+		got := r.Object.Bytes()
+		r.Object.Release()
+		if !bytes.Equal(got, vals[r.Key]) {
+			t.Fatalf("MGet %s: %d bytes not byte-exact (want %d)", r.Key, len(got), len(vals[r.Key]))
+		}
+	}
+}

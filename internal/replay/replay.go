@@ -10,7 +10,10 @@
 // latency is measured from the scheduled arrival — queueing delay from
 // an overloaded backend shows up in the percentiles instead of
 // silently stretching the run (the methodology behind the paper's
-// Figure 11/13 latency and cost figures).
+// Figure 11/13 latency and cost figures). Records of one key are served
+// in trace order: one whose key is in flight waits behind it, so a GET
+// never overtakes the insert its predecessor's miss triggered and hit
+// counts do not depend on goroutine scheduling.
 //
 // Backends plug in behind the Backend interface: the public InfiniCache
 // client API, the internal/rediscache ElastiCache model, and a no-op
@@ -170,7 +173,7 @@ func Run(ctx context.Context, cfg Config, tr *workload.Trace, b Backend) (*Resul
 
 	var mu sync.Mutex
 	e := &engine{cfg: cfg, clk: clk, mu: &mu, res: res,
-		inserting: make(map[string]bool)}
+		pending: make(map[string][]job)}
 
 	jobs := make(chan job, len(recs))
 	e.jobs = jobs
@@ -188,7 +191,7 @@ func Run(ctx context.Context, cfg Config, tr *workload.Trace, b Backend) (*Resul
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				s.process(ctx, j)
+				s.serve(ctx, j)
 			}
 		}()
 	}
@@ -237,12 +240,14 @@ type engine struct {
 	jobs chan job
 	mu   *sync.Mutex
 	res  *Result
-	// inserting single-flights miss-triggered insertions per key, the
-	// way a registry frontend coalesces concurrent backfills: when two
-	// sessions miss the same object at once, only one re-inserts (even
-	// when the sessions run against different SessionBackends clients —
-	// the backfill suppression is keyed on the object, not the client).
-	inserting map[string]bool
+	// pending keeps each key's records in trace order: a key with a
+	// record in flight maps to the records of that key dequeued since,
+	// and the session finishing the in-flight record serves them next.
+	// A GET therefore never overtakes the insert its predecessor's miss
+	// triggered (or a trace PUT before it), the way a registry frontend
+	// coalesces concurrent backfills of one object — whichever
+	// SessionBackends client each session drives.
+	pending map[string][]job
 }
 
 // session is one worker goroutine's view of the run: the shared engine
@@ -270,7 +275,54 @@ func (e *engine) hour(rec workload.Record) *HourStat {
 	return &e.res.Hours[h]
 }
 
-func (e *session) process(ctx context.Context, j job) {
+// serve runs j — unless a record of j's key is in flight, which j then
+// queues behind — followed by every record of a served key queued
+// behind it meanwhile.
+func (e *session) serve(ctx context.Context, j job) {
+	if !e.claim(j) {
+		return
+	}
+	todo := []job{j}
+	for len(todo) > 0 {
+		j, todo = todo[len(todo)-1], todo[:len(todo)-1]
+		for _, done := range e.process(ctx, j) {
+			if next, ok := e.next(done.rec.Key); ok {
+				todo = append(todo, next)
+			}
+		}
+	}
+}
+
+// claim marks j's key as in flight, or queues j behind the record of
+// its key already in flight and reports false.
+func (e *engine) claim(j job) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if q, busy := e.pending[j.rec.Key]; busy {
+		e.pending[j.rec.Key] = append(q, j)
+		return false
+	}
+	e.pending[j.rec.Key] = nil
+	return true
+}
+
+// next hands key to the record queued behind its finished one, or
+// marks the key idle when none is.
+func (e *engine) next(key string) (job, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	q := e.pending[key]
+	if len(q) == 0 {
+		delete(e.pending, key)
+		return job{}, false
+	}
+	e.pending[key] = q[1:]
+	return q[0], true
+}
+
+// process runs one claimed record, batching further due GETs with it
+// when the backend can, and returns the records it served.
+func (e *session) process(ctx context.Context, j job) []job {
 	if j.rec.Op == workload.OpPut {
 		err := e.b.Put(ctx, j.rec.Key, e.size(j.rec))
 		lat := e.clk.Since(j.scheduled).Seconds()
@@ -284,22 +336,24 @@ func (e *session) process(ctx context.Context, j job) {
 			e.res.PutLatency = append(e.res.PutLatency, lat)
 		}
 		e.mu.Unlock()
-		return
+		return []job{j}
 	}
 
 	if e.batcher != nil {
 		if batch := e.drain(j); len(batch) > 1 {
 			e.processBatch(ctx, batch)
-			return
+			return batch
 		}
 	}
 	hit, err := e.b.Get(ctx, j.rec.Key)
 	lat := e.clk.Since(j.scheduled).Seconds()
 	e.finishGet(ctx, j, hit, err, lat)
+	return []job{j}
 }
 
 // drain opportunistically pulls further already-queued GETs to batch
-// with j; a dequeued PUT ends the batch and is processed afterwards.
+// with j; a dequeued PUT ends the batch and is processed afterwards. A
+// dequeued record whose key is in flight queues behind it instead.
 func (e *session) drain(j job) []job {
 	batch := []job{j}
 	for len(batch) < e.cfg.Batch {
@@ -307,6 +361,9 @@ func (e *session) drain(j job) []job {
 		case next, ok := <-e.jobs:
 			if !ok {
 				return batch
+			}
+			if !e.claim(next) {
+				continue
 			}
 			batch = append(batch, next)
 			if next.rec.Op == workload.OpPut {
@@ -368,12 +425,12 @@ func (e *session) finishGet(ctx context.Context, j job, hit bool, err error, lat
 		e.res.Misses++
 		h.Misses++
 		e.res.MissLatency = append(e.res.MissLatency, lat)
-		insert = e.claimInsert(j.rec.Key)
+		insert = !e.cfg.NoInsertOnMiss
 	case errors.Is(err, ErrLost):
 		e.res.Resets++
 		h.Resets++
 		e.res.MissLatency = append(e.res.MissLatency, lat)
-		insert = e.claimInsert(j.rec.Key)
+		insert = !e.cfg.NoInsertOnMiss
 	default:
 		e.res.Errors++
 		h.Errors++
@@ -384,7 +441,6 @@ func (e *session) finishGet(ctx context.Context, j job, hit bool, err error, lat
 	if insert {
 		insErr := e.b.Put(ctx, j.rec.Key, e.size(j.rec))
 		e.mu.Lock()
-		delete(e.inserting, j.rec.Key)
 		e.res.Inserts++
 		if insErr != nil {
 			e.res.Errors++
@@ -408,16 +464,6 @@ func (e *engine) sampleErr(err error) {
 		}
 	}
 	e.res.ErrSamples = append(e.res.ErrSamples, s)
-}
-
-// claimInsert marks key as having an insertion in flight; callers hold
-// e.mu. False means another session already owns the backfill.
-func (e *engine) claimInsert(key string) bool {
-	if e.cfg.NoInsertOnMiss || e.inserting[key] {
-		return false
-	}
-	e.inserting[key] = true
-	return true
 }
 
 // Summary renders the Figure 11/13-style report: outcome counts, hit

@@ -3,6 +3,7 @@ package streamtest
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -32,22 +33,29 @@ func newStack(t *testing.T) *infinicache.Cache {
 // returns exactly the oracle slice, and whole-object reads through
 // GetObject agree — across mid-shard starts, stripe-boundary spans,
 // the final partial stripe, empty ranges, and past-EOF reads (which
-// clamp, never error).
+// clamp, never error). The batched row also reads every object of its
+// geometry back through one MGet.
 func TestStreamRoundTripProperty(t *testing.T) {
 	cache := newStack(t)
 	ctx := context.Background()
 
 	geometries := []struct {
-		d, p  int
-		shard int64
+		d, p    int
+		shard   int64
+		batched bool // also read the row's objects back through MGet
 	}{
-		{2, 1, 1 << 10},
-		{4, 2, 2 << 10},
-		{10, 2, 4 << 10},
+		{2, 1, 1 << 10, false},
+		{4, 2, 2 << 10, false},
+		{10, 2, 4 << 10, false},
+		{3, 2, 1 << 10, true},
 	}
 	for _, g := range geometries {
 		g := g
-		t.Run(fmt.Sprintf("rs%d+%d", g.d, g.p), func(t *testing.T) {
+		name := fmt.Sprintf("rs%d+%d", g.d, g.p)
+		if g.batched {
+			name += "-mget"
+		}
+		t.Run(name, func(t *testing.T) {
 			cl, err := cache.NewClient(
 				infinicache.ClientShards(g.d, g.p),
 				infinicache.ClientStripeShard(g.shard),
@@ -75,8 +83,10 @@ func TestStreamRoundTripProperty(t *testing.T) {
 				sizes = append(sizes, 1+rng.Int63n(5*stripeData))
 			}
 
+			var keys []string
 			for oi, size := range sizes {
 				key := fmt.Sprintf("obj/%d+%d/%d", g.d, g.p, oi)
+				keys = append(keys, key)
 				data := Pattern(rng, size)
 				if err := h.PutStream(ctx, key, data); err != nil {
 					t.Fatalf("object %d (size %d): %v", oi, size, err)
@@ -91,6 +101,7 @@ func TestStreamRoundTripProperty(t *testing.T) {
 					{size + 99, 1 << 10},                           // entirely past EOF: clamps empty
 					{size - 1, 4 << 10},                            // tail clamp
 					{-64, 128},                                     // negative offset clamps
+					{size / 3, math.MaxInt64},                      // to EOF, however long
 				}
 				for i := 0; i < 4; i++ {
 					off := rng.Int63n(size + size/4 + 1)
@@ -102,10 +113,16 @@ func TestStreamRoundTripProperty(t *testing.T) {
 						t.Fatalf("object %d (size %d, stripeData %d): %v", oi, size, stripeData, err)
 					}
 				}
-				// Whole-object read: single-stripe streamed PUTs serve the
-				// plain first-d path, multi-stripe ones the ranged fallback.
+				// Whole-object read: the range [0, size), one fan-out per
+				// stripe.
 				if err := h.CheckObject(ctx, key); err != nil {
 					t.Fatalf("object %d (size %d): %v", oi, size, err)
+				}
+			}
+			if g.batched {
+				// Single- and multi-stripe objects in one burst.
+				if err := h.CheckMGet(ctx, keys...); err != nil {
+					t.Fatal(err)
 				}
 			}
 		})

@@ -105,9 +105,9 @@ func (h *Harness) CheckRange(ctx context.Context, key string, off, n int64) erro
 	return nil
 }
 
-// CheckObject reads the whole object through GetObject — exercising the
-// streamed-object fallback for multi-stripe objects and the plain
-// first-d path for single-stripe ones — and compares it to the oracle.
+// CheckObject reads the whole object through GetObject — the range
+// [0, size) on the one read path, one stripe fan-out per stripe — and
+// compares it to the oracle.
 func (h *Harness) CheckObject(ctx context.Context, key string) error {
 	data, err := h.oracle(key)
 	if err != nil {
@@ -122,6 +122,27 @@ func (h *Harness) CheckObject(ctx context.Context, key string) error {
 	if !bytes.Equal(got, data) {
 		return fmt.Errorf("GetObject(%s) returned %d bytes, oracle has %d (%s)",
 			key, len(got), len(data), diffAt(got, data))
+	}
+	return nil
+}
+
+// CheckMGet reads keys in one MGet burst and compares every object to
+// the oracle.
+func (h *Harness) CheckMGet(ctx context.Context, keys ...string) error {
+	for _, r := range h.Client.MGet(ctx, keys...) {
+		if r.Err != nil {
+			return fmt.Errorf("MGet(%s): %w", r.Key, r.Err)
+		}
+		got := r.Object.Bytes()
+		r.Object.Release()
+		data, err := h.oracle(r.Key)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(got, data) {
+			return fmt.Errorf("MGet(%s) returned %d bytes, oracle has %d (%s)",
+				r.Key, len(got), len(data), diffAt(got, data))
+		}
 	}
 	return nil
 }
